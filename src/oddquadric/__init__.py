@@ -27,6 +27,7 @@ from .ring import (
     schubert_dim,
     star_multiply,
 )
+from .serialize import VERSION as __version__
 from .spectra import (
     EigenPair,
     GalkinResult,
@@ -54,8 +55,6 @@ from .verifier import (
     run_suite,
     simplicity_table,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CHECK_IDS",

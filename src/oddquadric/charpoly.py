@@ -26,10 +26,12 @@ COFACTOR_DIM_LIMIT = 10
 def charpoly_faddeev(m: Matrix) -> Poly:
     """det(lam*I - M) by the Faddeev-LeVerrier trace recursion, exactly.
 
-    The matrix is cleared to a common denominator s first, so the recursion
-    runs on integers (for an integer matrix all intermediates are integers);
-    the coefficients are then rescaled through the identity
-    det(lam*I - C/s) = s^-N det((s*lam)*I - C).
+    The recursion runs on the integer matrix C = s*M kept by Matrix (for an
+    integer matrix all intermediates are integers); the coefficients are then
+    rescaled through the identity det(lam*I - C/s) = s^-N det((s*lam)*I - C).
+    Row i of C*M_k combines the rows of M_k that the nonzeros of row i of C
+    select, so each step costs nnz(C)*N: O(N^3) in all for the operators, with
+    at most 2 nonzeros per row, and O(N^4) for a dense matrix.
     """
     s, a = m.int_form()
     n = len(a)
@@ -39,23 +41,31 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     c[n] = 1
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # P = A * M_k; its trace yields the next coefficient, and M_{k+1} = P + c*I.
-        prod = [
-            [sum(arow[t] * mk[t][j] for t in range(n)) for j in range(n)]
-            for arow in a
-        ]
+        # P = C * M_k; its trace yields the next coefficient, and M_{k+1} = P + c*I.
+        prod = [_combine_rows(pairs, mk, n) for pairs in a]
         t = sum(prod[i][i] for i in range(n))
-        assert t % k == 0, "trace recursion left a nonintegral coefficient"
+        if t % k:
+            raise ArithmeticError("trace recursion left a nonintegral coefficient")
         c[n - k] = -(t // k)
         if k < n:
             mk = prod
             for i in range(n):
                 mk[i][i] += c[n - k]
-    # Cayley-Hamilton: A*M_n + c_0*I must vanish; cheap exactness guard.
-    assert all(
-        prod[i][j] + (c[0] if i == j else 0) == 0 for i in range(n) for j in range(n)
-    ), "trace recursion failed the Cayley-Hamilton identity"
+    # Cayley-Hamilton: C*M_n + c_0*I must vanish; cheap exactness guard.
+    if any(prod[i][j] + (c[0] if i == j else 0) for i in range(n) for j in range(n)):
+        raise ArithmeticError("trace recursion failed the Cayley-Hamilton identity")
     return Poly([Fraction(c[k], s ** (n - k)) for k in range(n + 1)])
+
+
+def _combine_rows(pairs, rows: list[list[int]], n: int) -> list[int]:
+    """The sum of v * rows[t] over the (t, v) pairs, as a new row of length n."""
+    if not pairs:
+        return [0] * n
+    (t, v), *rest = pairs
+    out = rows[t][:] if v == 1 else [v * y for y in rows[t]]
+    for t, v in rest:
+        out = [x + v * y for x, y in zip(out, rows[t])]
+    return out
 
 
 def _poly_det(rows: list[list[Poly]]) -> Poly:
@@ -107,7 +117,8 @@ def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
         m = (2 * n - 1) // d
         e = 2 * p // d if p < n else (2 * p - (2 * n - 1)) // d
         f = (Poly([-(2**e)] + [0] * (m - 1) + [1]) ** d) * X
-    assert f.is_monic and f.degree == 2 * n
+    if not (f.is_monic and f.degree == 2 * n):
+        raise ArithmeticError(f"closed form for n={n}, p={p} is not monic of degree {2 * n}")
     return f
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import mul
+from math import gcd, lcm
 
 from .poly import as_fraction
 
@@ -84,73 +83,114 @@ def schubert_dim(ctx: QuadricContext, p: int) -> int:
 
 
 class Matrix:
-    """Immutable square matrix over exact rationals.
+    """Immutable square matrix over exact rationals, stored sparse over the integers.
 
-    Products clear entries to a common integer denominator first, so the bulk
-    of the arithmetic runs on machine ints; results are exact.
+    A matrix is (1/s) * C for a positive integer s and an integer matrix C
+    whose rows hold only their nonzero entries, as (column, value) pairs in
+    column order.  s is the least common denominator of the entries, so the
+    representation is unique and equality and hashing compare it directly.
+    Arithmetic runs on the integer rows; a product costs the number of
+    nonzeros of the left factor times the length of the right factor's rows.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("size", "_s", "_pairs")
 
     def __init__(self, rows):
-        rows = tuple(tuple(as_fraction(v) for v in row) for row in rows)
+        rows = [[as_fraction(v) for v in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        self.rows = rows
+        s = lcm(*(v.denominator for row in rows for v in row))
+        ints = [
+            [(j, v.numerator * (s // v.denominator)) for j, v in enumerate(row) if v]
+            for row in rows
+        ]
+        self._set(len(rows), s, ints)
 
-    @classmethod
-    def identity(cls, size: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
+    def _set(self, size: int, s: int, rows) -> None:
+        """Store (1/s) * rows in lowest terms; rows are iterables of (column, value)."""
+        rows = [sorted((j, v) for j, v in row if v) for row in rows]
+        g = gcd(s, *(v for row in rows for _, v in row))
+        if g > 1:
+            s //= g
+            rows = [[(j, v // g) for j, v in row] for row in rows]
+        self.size = size
+        self._s = s
+        self._pairs = tuple(tuple(row) for row in rows)
+
+    @staticmethod
+    def _exact(size: int, s: int, rows) -> "Matrix":
+        m = Matrix.__new__(Matrix)
+        m._set(size, s, rows)
+        return m
+
+    @staticmethod
+    def identity(size: int) -> "Matrix":
+        return Matrix._exact(size, 1, [[(i, 1)] for i in range(size)])
 
     @property
-    def size(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[Vector, ...]:
+        """Dense view: every entry as a Fraction, row by row; built on each read."""
+        zero, s = Fraction(0), self._s
+        out = []
+        for row in self._pairs:
+            dense = [zero] * self.size
+            for j, v in row:
+                dense[j] = Fraction(v, s)
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self._s == other._s and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self._s, self._pairs))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def int_form(self) -> tuple[int, list[list[int]]]:
-        """Common denominator s and the integer matrix s*self."""
-        s = 1
-        for row in self.rows:
-            for v in row:
-                den = v.denominator
-                s = s * den // gcd(s, den)
-        ints = [[v.numerator * (s // v.denominator) for v in row] for row in self.rows]
-        return s, ints
+    def int_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """Common denominator s and the rows of the integer matrix s*self, as
+        (column, value) pairs of their nonzero entries."""
+        return self._s, self._pairs
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        s = lcm(self._s, other._s)
+        fa, fb = s // self._s, sign * (s // other._s)
+        rows = []
+        for ra, rb in zip(self._pairs, other._pairs):
+            acc = {j: fa * v for j, v in ra}
+            for j, v in rb:
+                acc[j] = acc.get(j, 0) + fb * v
+            rows.append(acc.items())
+        return Matrix._exact(self.size, s, rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix) or other.size != self.size:
             return NotImplemented
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix) or other.size != self.size:
             return NotImplemented
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
+        return self._combine(other, -1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
-        sa, a = self.int_form()
-        sb, b = other.int_form()
-        s = sa * sb
-        bcols = list(zip(*b))
-        return Matrix(
-            [[Fraction(sum(map(mul, row, col)), s) for col in bcols] for row in a]
-        )
+        b = other._pairs
+        rows = []
+        for row in self._pairs:
+            acc = {}
+            for t, a in row:
+                for j, v in b[t]:
+                    acc[j] = acc.get(j, 0) + a * v
+            rows.append(acc.items())
+        return Matrix._exact(self.size, self._s * other._s, rows)
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -167,19 +207,25 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix([[c * v for v in row] for row in self.rows])
+        return Matrix._exact(
+            self.size,
+            self._s * c.denominator,
+            [[(j, v * c.numerator) for j, v in row] for row in self._pairs],
+        )
 
     def apply(self, vec) -> Vector:
         """Matrix-vector product, exact."""
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        return tuple(sum(map(mul, row, vec), Fraction(0)) for row in self.rows)
+        s = self._s
+        return tuple(sum((v * vec[j] for j, v in row), Fraction(0)) / s for row in self._pairs)
 
     def col(self, i: int) -> Vector:
         return tuple(row[i] for row in self.rows)
 
     def trace(self) -> Fraction:
-        return sum((row[i] for i, row in enumerate(self.rows)), Fraction(0))
+        diagonal = (v for i, row in enumerate(self._pairs) for j, v in row if j == i)
+        return Fraction(sum(diagonal), self._s)
 
     def denominators(self) -> set[int]:
         return {v.denominator for row in self.rows for v in row}
@@ -188,17 +234,22 @@ class Matrix:
 class Operator(Matrix):
     """Multiplication-by-t_p matrix, tagged with its context and degree.
 
-    Column i holds the coefficients of t_p * t_i.  Every entry is a half
-    integer; that is asserted at construction.
+    Column i holds the coefficients of t_p * t_i.  rows is dense rows or a
+    Matrix, whose exact state is shared.  Every entry must be a half integer,
+    so the common denominator is 1 or 2; anything else raises ValueError.
     """
 
     __slots__ = ("ctx", "p")
 
     def __init__(self, ctx: QuadricContext, p: int, rows):
-        super().__init__(rows)
+        if isinstance(rows, Matrix):
+            self.size, self._s, self._pairs = rows.size, rows._s, rows._pairs
+        else:
+            super().__init__(rows)
+        if self._s > 2:
+            raise ValueError("operator entries must be half-integers")
         self.ctx = ctx
         self.p = p
-        assert self.denominators() <= {1, 2}, "operator entries must be half-integers"
 
 
 def basis_vector(ctx: QuadricContext, p: int) -> Vector:
@@ -238,6 +289,19 @@ def build_a1(ctx: QuadricContext) -> Operator:
 
 
 @lru_cache(maxsize=None)
+def _powers(a1: Matrix) -> tuple[Matrix, ...]:
+    """A^0, ..., A^(N-1) for the N x N degree-one matrix A, by A^k = A * A^(k-1).
+
+    One loop per context.  The cache is keyed by the matrix, not the context,
+    so the powers always follow the degree-one matrix that build_a1 returns.
+    """
+    powers = [Matrix.identity(a1.size)]
+    for _ in range(a1.size - 1):
+        powers.append(a1 * powers[-1])
+    return tuple(powers)
+
+
+@lru_cache(maxsize=None)
 def build_ap(ctx: QuadricContext, p: int) -> Operator:
     """The matrix of multiplication by the basis class t_p.
 
@@ -246,18 +310,12 @@ def build_ap(ctx: QuadricContext, p: int) -> Operator:
     point class is half the top power minus the identity.
     """
     check_index(ctx, p)
-    n = ctx.n
-    if p == 0:
-        mat = Matrix.identity(ctx.basis_size)
-    else:
-        m1 = build_a1(ctx)
-        if p <= n - 1:
-            mat = m1 ** p
-        elif p <= 2 * n - 2:
-            mat = (m1 ** p).scale(Fraction(1, 2))
-        else:
-            mat = (m1 ** (2 * n - 1)).scale(Fraction(1, 2)) - Matrix.identity(ctx.basis_size)
-    return Operator(ctx, p, mat.rows)
+    mat = _powers(build_a1(ctx))[p]
+    if p >= ctx.n:
+        mat = mat.scale(Fraction(1, 2))
+    if p == ctx.dim:
+        mat = mat - Matrix.identity(ctx.basis_size)
+    return Operator(ctx, p, mat)
 
 
 def star_multiply(ctx: QuadricContext, a, b) -> Vector:

@@ -91,7 +91,8 @@ def closed_eigenvalues(ctx: QuadricContext, p: int) -> list[EigenPair]:
     pairs = [EigenPair(0j, 1)]
     for k in range(m):
         pairs.append(EigenPair(r * cmath.exp(2j * cmath.pi * k / m), d))
-    assert sum(ep.multiplicity for ep in pairs) == ctx.basis_size
+    if sum(ep.multiplicity for ep in pairs) != ctx.basis_size:
+        raise ArithmeticError(f"multiplicities for n={n}, p={p} do not sum to {ctx.basis_size}")
     return pairs
 
 

@@ -316,6 +316,17 @@ def _run_cell(args):
     return run_check_cell(*args)
 
 
+def _cell_result(cell, future) -> list[CheckResult]:
+    """The results of a cell run in the pool, or one failure per case when the
+    worker could not deliver them (it died, or its results did not pickle)."""
+    try:
+        return future.result()
+    except Exception as exc:  # never abort the sweep
+        check_id, n = cell
+        detail = f"worker failed: {type(exc).__name__}: {exc}"
+        return [CheckResult(check_id, n, p, "fail", detail) for p in CHECKS[check_id][0](n)]
+
+
 def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> VerificationReport:
     """Run the requested checks for every n in [n_min, n_max].
 
@@ -334,7 +345,8 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     cells = [(cid, n) for cid in checks for n in range(n_min, n_max + 1)]
     if jobs > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            chunks = list(pool.map(_run_cell, cells))
+            futures = [pool.submit(_run_cell, cell) for cell in cells]
+            chunks = [_cell_result(cell, future) for cell, future in zip(cells, futures)]
     else:
         chunks = [run_check_cell(*cell) for cell in cells]
     results = [r for chunk in chunks for r in chunk]

@@ -1,8 +1,12 @@
 """Characteristic polynomials: trace recursion, cofactor oracle, closed forms."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from oddquadric import (
     make_context,
     nonzero_part_is_squarefree,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 LAM4_MINUS_4LAM = Poly([0, -4, 0, 0, 1])
 
@@ -111,6 +117,59 @@ class TestClosedFormAgreementSmoke:
         ctx = make_context(n)
         for p in range(1, 2 * n):
             assert charpoly_faddeev(build_ap(ctx, p)) == closed_form_charpoly(ctx, p)
+
+
+class TestLargeN:
+    def test_computed_equals_closed_form_at_n48(self):
+        # 95 = 5 * 19 = 2n - 1, so p = 5 and p = 19 have d > 1.
+        ctx = make_context(48)
+        for p in (1, 5, 19, 47, 48, 94, 95):
+            assert charpoly_faddeev(build_ap(ctx, p)) == closed_form_charpoly(ctx, p), p
+
+
+INVARIANT_SCRIPT = """
+import sys
+from fractions import Fraction
+
+from oddquadric import Matrix, Operator, Poly, QuadricContext, charpoly, make_context, spectra
+
+
+class SkewedContext(QuadricContext):
+    def d(self, p):
+        return 2  # divides no 2n-1, so the multiplicities cannot add up
+
+
+# Corrupt the trace recursion and the closed form; the guards must catch both.
+charpoly._combine_rows = lambda pairs, rows, n: [1] * n
+charpoly.X = Poly([0, 2])
+
+cases = [
+    ("half-integers", ValueError, lambda: Operator(make_context(2), 1, [[Fraction(1, 3)] * 4] * 4)),
+    ("integrality", ArithmeticError, lambda: charpoly.charpoly_faddeev(Matrix.identity(3))),
+    ("cayley-hamilton", ArithmeticError, lambda: charpoly.charpoly_faddeev(Matrix.identity(2))),
+    ("monic", ArithmeticError, lambda: charpoly.closed_form_charpoly(make_context(2), 1)),
+    ("multiplicities", ArithmeticError, lambda: spectra.closed_eigenvalues(SkewedContext(3), 1)),
+]
+fired = []
+for name, exc, call in cases:
+    try:
+        call()
+    except exc:
+        fired.append(name)
+print(sys.flags.optimize, *fired)
+"""
+
+
+def test_invariants_raise_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_SCRIPT], capture_output=True, env=env, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "1", "half-integers", "integrality", "cayley-hamilton", "monic", "multiplicities"
+    ]
 
 
 class TestSquarefree:

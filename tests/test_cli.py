@@ -245,3 +245,15 @@ class TestDeterminism:
         ]
         assert outs[0]
         assert all(o == outs[0] for o in outs)
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    import oddquadric
+
+    meta = tomllib.loads((SRC.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    dynamic = meta["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "oddquadric.serialize.VERSION"}
+    assert oddquadric.__version__ == serialize.VERSION == "0.1.0"

@@ -1,5 +1,6 @@
 """Ring construction: contexts, the degree-one product rule, operators, star products."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,30 @@ A2_N2 = (
 
 def frac_rows(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
+
+
+def reference_operators(ctx):
+    """Every A_p from plain lists of Fractions, p = 0 .. 2n-1.
+
+    A_1 has chevalley_column(ctx, i) as column i; A_p is its p-th power,
+    halved from the middle degree on, minus the identity at the point class.
+    """
+    size = ctx.basis_size
+    cols = [chevalley_column(ctx, i) for i in range(size)]
+    a1 = [[cols[i][j] for i in range(size)] for j in range(size)]
+    identity = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    power = identity
+    for p in range(size):
+        mat = power
+        if p >= ctx.n:
+            mat = [[v / 2 for v in row] for row in mat]
+        if p == ctx.dim:
+            mat = [[v - e for v, e in zip(row, erow)] for row, erow in zip(mat, identity)]
+        yield tuple(tuple(row) for row in mat)
+        power = [
+            [sum((a * power[t][j] for t, a in enumerate(row) if a), Fraction(0)) for j in range(size)]
+            for row in a1
+        ]
 
 
 class TestContext:
@@ -145,6 +170,21 @@ class TestBuildAp:
         op = build_ap(ctx, 3)
         assert op.denominators() <= {1, 2}
         assert op.apply(basis_vector(ctx, 0)) == basis_vector(ctx, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_equals_naive_reference(self, n):
+        ctx = make_context(n)
+        for p, expected in enumerate(reference_operators(ctx)):
+            assert build_ap(ctx, p).rows == expected, f"n={n}, p={p}"
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_at_most_two_nonzeros_per_row_and_column(self, n):
+        ctx = make_context(n)
+        for p in range(2 * n):
+            _, pairs = build_ap(ctx, p).int_form()
+            assert max(len(row) for row in pairs) <= 2
+            columns = Counter(j for row in pairs for j, _ in row)
+            assert max(columns.values()) <= 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_denominators_half_integral(self, n):

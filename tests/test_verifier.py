@@ -1,5 +1,7 @@
 """Verifier suite: determinism, completeness, witnesses, and the mutation probe."""
 
+import multiprocessing
+import os
 from fractions import Fraction
 
 import pytest
@@ -188,3 +190,26 @@ def test_exceptions_become_failures(monkeypatch):
     results = run_check_cell("galkin", 2)
     assert results[0].status == "fail"
     assert "synthetic" in results[0].detail
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched check only when forked",
+)
+def test_dead_worker_becomes_failures(monkeypatch):
+    from oddquadric import verifier
+
+    def die(n, p):
+        if n == 3:
+            os._exit(1)
+        return True, "alive", None
+
+    monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], die))
+    report = run_suite(2, 4, checks=["galkin", "corollary32"], jobs=2)
+    keys = [(r.check_id, r.n, r.p) for r in report.results]
+    assert keys == sorted(keys)
+    assert len(keys) == 6
+    dead = next(r for r in report.results if (r.check_id, r.n) == ("galkin", 3))
+    assert dead.status == "fail"
+    assert "BrokenProcessPool" in dead.detail
+    assert not report.all_passed
