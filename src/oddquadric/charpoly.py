@@ -14,8 +14,6 @@ with d = gcd(p, 2n-1).  All three paths produce monic polynomials of degree
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .poly import Poly, X, poly_gcd
 from .ring import Matrix, QuadricContext, check_index
 
@@ -54,7 +52,7 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     # Cayley-Hamilton: C*M_n + c_0*I must vanish; cheap exactness guard.
     if any(prod[i][j] + (c[0] if i == j else 0) for i in range(n) for j in range(n)):
         raise ArithmeticError("trace recursion failed the Cayley-Hamilton identity")
-    return Poly([Fraction(c[k], s ** (n - k)) for k in range(n + 1)])
+    return Poly.from_ints([c[k] * s**k for k in range(n + 1)], s**n)
 
 
 def _combine_rows(pairs, rows: list[list[int]], n: int) -> list[int]:

@@ -1,15 +1,20 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, stored over the integers.
 
-Coefficients are stored ascending by degree (index = degree) and trailing
-zeros are trimmed; the zero polynomial is the single coefficient 0.  Includes
-the monic Euclidean gcd and Yun's squarefree decomposition, which back the
-repeated-root analysis elsewhere.
+A polynomial is (1/den) * (num[0] + num[1] x + ... ) for a positive integer
+den and integer coefficients num, ascending by degree with trailing zeros
+trimmed, in lowest terms (den shares no factor with all of num); the zero
+polynomial is num = (0,) over 1.  The representation is unique, so equality
+compares it directly, and all arithmetic runs on the integers.  Includes a
+primitive-PRS gcd and Yun's squarefree decomposition over Z[x], which back
+the repeated-root analysis elsewhere.
 """
 
 from __future__ import annotations
 
 import numbers
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
 
 def as_fraction(v) -> Fraction:
@@ -24,37 +29,141 @@ def as_fraction(v) -> Fraction:
     return Fraction(v)
 
 
+# Integer coefficient lists, ascending by degree; a nonzero list has a
+# nonzero last entry and the zero polynomial is [0].
+
+def _trim(a: list[int]) -> list[int]:
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a or [0]
+
+
+def _mul(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in nonzero:
+                out[i + j] += x * y
+    return out
+
+
+def _sub(a, b) -> list[int]:
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _derivative(a) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:] or [0]
+
+
+def _divmod_ints(a, b) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s*a = q*b + r, deg r < deg b and s a power of b's leading
+    coefficient; s grows only at the steps where that coefficient does not
+    divide exactly, so s = 1 whenever b is monic or divides a in Z[x]."""
+    db, lead = len(b) - 1, b[-1]
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    rem = list(a)
+    q = [0] * max(1, len(a) - db)
+    s = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        f, r = divmod(c, lead)
+        if r:
+            rem = [lead * v for v in rem]
+            q = [lead * v for v in q]
+            s *= lead
+            f = c
+        q[i - db] = f
+        for j, y in nonzero:
+            rem[i - db + j] -= f * y
+    return q, _trim(rem[:db]), s
+
+
+def _primitive(a) -> list[int]:
+    """a divided by its content, signed so the leading coefficient is positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [v // g for v in a]
+
+
+def _exact_quo(a, b) -> list[int]:
+    """The quotient a / b in Z[x]; exact when b is primitive and divides a over Q."""
+    q, r, s = _divmod_ints(a, b)
+    if s != 1 or any(r):
+        raise ValueError("division is not exact")
+    return q
+
+
+def _gcd_ints(a, b) -> list[int]:
+    """Primitive gcd of integer polynomials by the primitive PRS; a is nonzero."""
+    a, b = _primitive(a), _primitive(b) if any(b) else b
+    if len(a) < len(b):
+        a, b = b, a
+    while any(b):
+        _, r, _ = _divmod_ints(a, b)
+        a, b = b, _primitive(r) if any(r) else r
+    return a
+
+
 class Poly:
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs):
-        cs = [as_fraction(c) for c in coeffs]
-        if not cs:
-            cs = [Fraction(0)]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, int) else as_fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        """Store (1/den) * num in lowest terms, trimmed, with a positive denominator."""
+        if den == 0:
+            raise ZeroDivisionError("polynomial with denominator 0")
+        num = _trim(num)
+        if den < 0:
+            den, num = -den, [-v for v in num]
+        if den > 1:
+            g = gcd(den, *num)
+            if g > 1:
+                den //= g
+                num = [v // g for v in num]
+        self._num = tuple(num)
+        self._den = den
+
+    @staticmethod
+    def from_ints(num, den: int = 1) -> "Poly":
+        """The polynomial (1/den) * sum(num[k] x^k) for integers num and den."""
+        f = Poly.__new__(Poly)
+        f._set(list(num), den)
+        return f
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Every coefficient as a Fraction, ascending by degree; built on each read."""
+        den = self._den
+        return tuple(Fraction(v, den) for v in self._num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return self.coeffs == (Fraction(0),)
+        return self._num == (0,)
 
     @property
     def leading(self) -> Fraction:
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     @property
     def is_monic(self) -> bool:
-        return self.leading == 1
+        return self._num[-1] == self._den
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -63,18 +172,17 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly.from_ints([-v for v in self._num], self._den)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        a, b, den = self._num, other._num, self._den
+        if other._den != den:
+            den = lcm(den, other._den)
+            a = [v * (den // self._den) for v in a]
+            b = [v * (den // other._den) for v in b]
+        return Poly.from_ints([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -83,15 +191,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly([0])
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            return Poly.from_ints(_mul(self._num, other._num), self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other) -> "Poly":
@@ -99,7 +199,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = as_fraction(c)
-        return Poly([c * v for v in self.coeffs])
+        return Poly.from_ints([c.numerator * v for v in self._num], c.denominator * self._den)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -119,17 +219,10 @@ class Poly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(1, len(rem) - other.degree)
-        lead = other.leading
-        for i in range(len(rem) - 1, other.degree - 1, -1):
-            if not rem[i]:
-                continue
-            factor = rem[i] / lead
-            q[i - other.degree] = factor
-            for j, c in enumerate(other.coeffs):
-                rem[i - other.degree + j] -= factor * c
-        return Poly(q), Poly(rem)
+        # s*a = q*b + r on the numerators: self = q*den_b/(s*den_a) * other + r/(s*den_a).
+        q, r, s = _divmod_ints(self._num, other._num)
+        den = s * self._den
+        return Poly.from_ints([v * other._den for v in q], den), Poly.from_ints(r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -140,10 +233,10 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
-        return self.scale(1 / self.leading)
+        return Poly.from_ints(self._num, self._num[-1])
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:] or [0])
+        return Poly.from_ints(_derivative(self._num), self._den)
 
     def __call__(self, x):
         """Horner evaluation; works for Fraction, float and complex arguments."""
@@ -156,19 +249,20 @@ class Poly:
         """Multiplicity of the root 0 (index of the lowest nonzero coefficient)."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no root multiplicities")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError("unreachable")
+        return next(i for i, c in enumerate(self._num) if c)
 
     def strip_zero_roots(self) -> tuple[int, "Poly"]:
         """Split off the power-of-the-variable factor: (k, g) with self = x^k * g."""
         k = self.zero_root_multiplicity()
-        return k, Poly(self.coeffs[k:])
+        return k, Poly.from_ints(self._num[k:], self._den)
 
 
 #: The indeterminate, for building polynomials by arithmetic.
 X = Poly((0, 1))
+
+
+def _monic(a) -> Poly:
+    return Poly.from_ints(a, a[-1])
 
 
 def exact_div(a: Poly, b: Poly) -> Poly:
@@ -179,12 +273,14 @@ def exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
-        return a
-    return a.monic()
+    """Monic gcd over the rationals, by the primitive PRS on the integer numerators.
+
+    The gcd of two zero polynomials is zero.
+    """
+    if a.is_zero or b.is_zero:
+        f = b if a.is_zero else a
+        return f if f.is_zero else f.monic()
+    return _monic(_gcd_ints(a._num, b._num))
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -192,25 +288,27 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
     Requires a monic nonconstant input.  Factors of multiplicity i come out in
     increasing i, each with positive degree; multiplicities account for the
-    whole of f.
+    whole of f.  Runs in Z[x] on the primitive part of f's numerator: every
+    divisor is a primitive gcd, so by Gauss's lemma each quotient is integral.
     """
     if not f.is_monic:
         raise ValueError("squarefree decomposition requires a monic polynomial")
     if f.degree < 1:
         raise ValueError("squarefree decomposition requires a nonconstant polynomial")
-    df = f.derivative()
-    a = poly_gcd(f, df)
-    b = exact_div(f, a)
-    c = exact_div(df, a)
-    d = c - b.derivative()
+    num = _primitive(f._num)
+    dnum = _derivative(num)
+    a = _gcd_ints(num, dnum)
+    b = _exact_quo(num, a)
+    c = _exact_quo(dnum, a)
+    d = _sub(c, _derivative(b))
     out = []
     i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            out.append((g, i))
-        b = exact_div(b, g)
-        c = exact_div(d, g)
-        d = c - b.derivative()
+    while len(b) > 1:
+        g = _gcd_ints(b, d)
+        if len(g) > 1:
+            out.append((_monic(g), i))
+        b = _exact_quo(b, g)
+        c = _exact_quo(d, g)
+        d = _sub(c, _derivative(b))
         i += 1
     return out

@@ -10,6 +10,7 @@ the assembled report is deterministic, including under parallel execution.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -316,15 +317,39 @@ def _run_cell(args):
     return run_check_cell(*args)
 
 
-def _cell_result(cell, future) -> list[CheckResult]:
-    """The results of a cell run in the pool, or one failure per case when the
-    worker could not deliver them (it died, or its results did not pickle)."""
-    try:
-        return future.result()
-    except Exception as exc:  # never abort the sweep
-        check_id, n = cell
-        detail = f"worker failed: {type(exc).__name__}: {exc}"
-        return [CheckResult(check_id, n, p, "fail", detail) for p in CHECKS[check_id][0](n)]
+def _cell_failures(cell, exc: BaseException) -> list[CheckResult]:
+    """One failure per case of a cell whose worker could not deliver its results."""
+    check_id, n = cell
+    detail = f"worker failed: {type(exc).__name__}: {exc}"
+    return [CheckResult(check_id, n, p, "fail", detail) for p in CHECKS[check_id][0](n)]
+
+
+def pool_workers(jobs: int, cells: int) -> int:
+    """Worker processes for a run of `cells` cells at `jobs`: at most one per
+    cell and one per CPU, so a large --jobs never starts more processes."""
+    return max(1, min(jobs, cells, os.cpu_count() or 1))
+
+
+def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
+    """The results of each cell, run in a pool of `workers` processes.
+
+    A worker that dies breaks the whole pool, and every cell it has not
+    delivered fails with BrokenProcessPool.  Those cells run again one at a
+    time, each in a fresh single-worker pool, so only the cell that kills
+    its worker is recorded as failed.
+    """
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_cell, cell) for cell in cells]
+    chunks = []
+    for cell, future in zip(cells, futures):
+        exc = future.exception()
+        if exc is None:
+            chunks.append(future.result())
+        elif isinstance(exc, concurrent.futures.BrokenExecutor) and len(cells) > 1:
+            chunks += _run_pool([cell], 1)
+        else:  # never abort the sweep
+            chunks.append(_cell_failures(cell, exc))
+    return chunks
 
 
 def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> VerificationReport:
@@ -332,7 +357,9 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
 
     Results cover every (check, n, p) combination the checks' own case maps
     admit in the range; they are sorted by (check_id, n, p) and the summary
-    tallies pass/fail per check.  Output is deterministic regardless of jobs.
+    tallies pass/fail per check.  With jobs > 1 the (check, n) cells run in
+    pool_workers(jobs, cells) processes.  Output is deterministic regardless
+    of jobs.
     """
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -343,10 +370,9 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
     cells = [(cid, n) for cid in checks for n in range(n_min, n_max + 1)]
-    if jobs > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            futures = [pool.submit(_run_cell, cell) for cell in cells]
-            chunks = [_cell_result(cell, future) for cell, future in zip(cells, futures)]
+    workers = pool_workers(jobs, len(cells))
+    if workers > 1:
+        chunks = _run_pool(cells, workers)
     else:
         chunks = [run_check_cell(*cell) for cell in cells]
     results = [r for chunk in chunks for r in chunk]

@@ -4,10 +4,14 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddquadric import (
     Poly,
     RootFindingError,
+    build_a1,
+    charpoly_faddeev,
     all_roots,
     closed_eigenvalues,
     closed_form_charpoly,
@@ -21,10 +25,18 @@ from oddquadric import (
     max_root_modulus,
     operator_eigenvalue,
     spectrum_report,
+    squarefree_decomposition,
     tau1_eigenvalue,
     verify_diagonalization,
 )
-from oddquadric.spectra import _eigen_selectors, durand_kerner, operator_as_array
+from oddquadric.spectra import (
+    DK_MAX_ITER,
+    DK_TOL,
+    _eigen_selectors,
+    _initial_radius,
+    durand_kerner,
+    operator_as_array,
+)
 
 CBRT4 = 4 ** (1 / 3)
 
@@ -235,3 +247,90 @@ class TestSpectrumReport:
         ctx = make_context(5)
         assert spectrum_report(ctx, 4).simple
         assert not spectrum_report(ctx, 3).simple
+
+
+def reference_durand_kerner(coeffs, max_iter=DK_MAX_ITER):
+    """The plain Python loop that durand_kerner must reproduce bit for bit."""
+    coeffs = [complex(c) for c in coeffs]
+    deg = len(coeffs) - 1
+    if deg == 1:
+        return [-coeffs[0]]
+    radius = _initial_radius(coeffs)
+    pts = [radius * cmath.exp(1j * (2 * cmath.pi * k / deg + 0.4)) for k in range(deg)]
+    delta = float("inf")
+    for _ in range(max_iter):
+        new_pts = []
+        delta = 0.0
+        for i, x in enumerate(pts):
+            val = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                val = val * x + c
+            den = 1 + 0j
+            for jj, y in enumerate(pts):
+                if jj != i:
+                    den *= x - y
+            step = val / den
+            new_pts.append(x - step)
+            delta = max(delta, abs(step))
+        pts = new_pts
+        if delta < DK_TOL:
+            return pts
+    raise RootFindingError(
+        f"root iteration did not converge within {max_iter} sweeps (last update {delta:.3e})"
+    )
+
+
+def _outcome(finder, coeffs, **kw):
+    """The bits of every root, or the error message when the iteration gives up."""
+    try:
+        return [(r.real.hex(), r.imag.hex()) for r in finder(coeffs, **kw)]
+    except RootFindingError as exc:
+        return str(exc)
+
+
+def _nonlinear_factors(f):
+    _, g = f.strip_zero_roots()
+    if g.degree == 0:
+        return []
+    return [[complex(c) for c in h.coeffs] for h, _ in squarefree_decomposition(g) if h.degree > 1]
+
+
+@st.composite
+def monic_with_zero_runs(draw):
+    """Ascending coefficients of a monic polynomial of degree 2..10, built from runs of zeros."""
+    deg = draw(st.integers(2, 10))
+    coeffs = []
+    while len(coeffs) < deg:
+        coeffs += [0] * draw(st.integers(0, 5))
+        coeffs.append(draw(st.fractions(-9, 9, max_denominator=4).filter(bool)))
+    return [complex(c) for c in coeffs[:deg]] + [1 + 0j]
+
+
+class TestDurandKernerBitIdentity:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_closed_form_factors(self, n):
+        ctx = make_context(n)
+        for p in range(1, 2 * n):
+            for coeffs in _nonlinear_factors(closed_form_charpoly(ctx, p)):
+                assert _outcome(durand_kerner, coeffs) == _outcome(reference_durand_kerner, coeffs)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_galkin_polynomials(self, n):
+        f = charpoly_faddeev(build_a1(make_context(n)).scale(2 * n - 1))
+        factors = _nonlinear_factors(f)
+        assert factors
+        for coeffs in factors:
+            assert _outcome(durand_kerner, coeffs) == _outcome(reference_durand_kerner, coeffs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=monic_with_zero_runs())
+    def test_random_polynomials_with_zero_runs(self, coeffs):
+        assert _outcome(durand_kerner, coeffs, max_iter=80) == _outcome(
+            reference_durand_kerner, coeffs, max_iter=80
+        )
+
+    def test_nonconvergence_message_matches(self):
+        coeffs = [complex(-4), 0j, 0j, complex(1)]
+        assert _outcome(durand_kerner, coeffs, max_iter=1) == _outcome(
+            reference_durand_kerner, coeffs, max_iter=1
+        )

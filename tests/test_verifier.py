@@ -2,13 +2,14 @@
 
 import multiprocessing
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
 from oddquadric import CHECK_IDS, make_context, run_suite, simplicity_table
 from oddquadric import ring, serialize
-from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, run_check_cell
+from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_workers, run_check_cell
 
 EXPECTED_CASE_COUNTS_2_TO_4 = {
     "chevalley_golden": 1,
@@ -205,6 +206,7 @@ def test_dead_worker_becomes_failures(monkeypatch):
         return True, "alive", None
 
     monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], die))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU machine
     report = run_suite(2, 4, checks=["galkin", "corollary32"], jobs=2)
     keys = [(r.check_id, r.n, r.p) for r in report.results]
     assert keys == sorted(keys)
@@ -213,3 +215,38 @@ def test_dead_worker_becomes_failures(monkeypatch):
     assert dead.status == "fail"
     assert "BrokenProcessPool" in dead.detail
     assert not report.all_passed
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the patched check only when forked",
+)
+def test_dead_worker_fails_only_its_own_cell(monkeypatch):
+    from oddquadric import verifier
+
+    def die(n, p):
+        if n == 3:
+            os._exit(1)
+        time.sleep(0.1)  # so later cells are still pending when the worker dies
+        return True, "alive", None
+
+    monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], die))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = run_suite(2, 8, checks=["galkin"], jobs=2)
+    assert [(r.n, r.status) for r in report.results] == [
+        (n, "fail" if n == 3 else "pass") for n in range(2, 9)
+    ]
+    assert "BrokenProcessPool" in report.results[1].detail
+    assert all(r.detail == "alive" for r in report.results if r.n != 3)
+    assert report.summary == {"galkin": {"pass": 6, "fail": 1}}
+
+
+def test_pool_workers_bounded_by_cells_and_cpus(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_workers(10**9, 10**6) == 4
+    assert pool_workers(10**9, 3) == 3
+    assert pool_workers(2, 10**6) == 2
+    assert pool_workers(1, 10**6) == 1
+    assert pool_workers(0, 5) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
+    assert pool_workers(10**9, 10**6) == 1
