@@ -4,6 +4,10 @@ Subcommands: charpoly, spectrum, fpdim, galkin, verify.  Exit codes: 0 on
 success / all checks passing, 2 on usage errors, 3 on a verification
 mismatch.  Output goes to stdout and, when --out is given, to that file as
 well; JSON is the only format carrying full witness payloads.
+
+Each cmd_* function takes validated inputs and returns (exit code, JSON
+result, CSV header, CSV rows, text lines).  main validates the inputs and
+renders the chosen format once, for every subcommand.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ import sys
 from . import serialize, spectra, verifier
 from .charpoly import charpoly_faddeev, closed_form_charpoly
 from .ring import build_ap, make_context
+from .serialize import fmt_bool, fmt_float, frac_str, round9
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
 
@@ -30,254 +34,178 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (_, help_text, p_min) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if p_min is None:
+            sp.add_argument("--n-min", type=int, required=True)
+            sp.add_argument("--n-max", type=int, required=True)
+        else:
+            sp.add_argument("-n", "--n", dest="n", type=int, required=True)
+            sp.add_argument("-p", "--p", dest="p", type=int, required=True)
+        if name == "verify":
+            sp.add_argument("--checks", help="comma-separated check ids (default: all)")
+            sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
         sp.add_argument("--out", help="also write the output to this path")
-
-    sp = sub.add_parser("charpoly", help="characteristic polynomial of one operator")
-    sp.add_argument("-n", "--n", dest="n", type=int, required=True)
-    sp.add_argument("-p", "--p", dest="p", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("spectrum", help="closed-form eigenvalues of one operator")
-    sp.add_argument("-n", "--n", dest="n", type=int, required=True)
-    sp.add_argument("-p", "--p", dest="p", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("fpdim", help="Frobenius-Perron dimension of one basis class")
-    sp.add_argument("-n", "--n", dest="n", type=int, required=True)
-    sp.add_argument("-p", "--p", dest="p", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("galkin", help="anticanonical lower-bound margins over a range of n")
-    sp.add_argument("--n-min", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="run invariant checks over a range of n")
-    sp.add_argument("--n-min", type=int, required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.add_argument("--checks", help="comma-separated check ids (default: all)")
-    sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    common(sp)
-
     return parser
 
 
-def _context_or_exit(parser, n):
-    try:
-        return make_context(n)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _check_p(parser, ctx, p, minimum):
-    if not minimum <= p <= ctx.dim:
-        parser.error(f"p must be in [{minimum}, {ctx.dim}] for n={ctx.n}, got {p}")
-
-
-def cmd_charpoly(args, parser) -> tuple[int, str]:
-    ctx = _context_or_exit(parser, args.n)
-    _check_p(parser, ctx, args.p, 0)
-    computed = charpoly_faddeev(build_ap(ctx, args.p))
-    closed = None if args.p == 0 else closed_form_charpoly(ctx, args.p)
+def cmd_charpoly(ctx, p):
+    computed = charpoly_faddeev(build_ap(ctx, p))
+    closed = None if p == 0 else closed_form_charpoly(ctx, p)
     match = None if closed is None else computed == closed
     code = EXIT_OK if match in (None, True) else EXIT_MISMATCH
-
-    if args.format == "json":
-        result = {
-            "n": ctx.n,
-            "p": args.p,
-            "computed": serialize.poly_json(computed),
-            "closed_form": None if closed is None else serialize.poly_json(closed),
-            "match": match,
-        }
-        out = serialize.dumps_canonical(
-            serialize.envelope("charpoly", {"n": ctx.n, "p": args.p}, result)
-        )
-    elif args.format == "csv":
-        rows = []
-        for k, c in enumerate(computed.coeffs):
-            closed_entry = "" if closed is None else serialize.frac_str(closed.coeffs[k])
-            match_entry = "" if match is None else serialize.fmt_bool(match)
-            rows.append([ctx.n, args.p, k, serialize.frac_str(c), closed_entry, match_entry])
-        out = serialize.csv_string(
-            ["n", "p", "coeff_index", "computed", "closed_form", "match"], rows
-        )
-    else:
-        left = serialize.poly_text(computed)
-        if closed is None:
-            out = f"{left} | closed form: none (p=0)\n"
-        else:
-            out = (
-                f"{left} | closed form: {serialize.poly_text(closed)}"
-                f" | match: {serialize.fmt_bool(match)}\n"
-            )
-    return code, out
-
-
-def cmd_spectrum(args, parser) -> tuple[int, str]:
-    ctx = _context_or_exit(parser, args.n)
-    _check_p(parser, ctx, args.p, 1)
-    report = spectra.spectrum_report(ctx, args.p)
-
-    if args.format == "json":
-        out = serialize.dumps_canonical(
-            serialize.envelope(
-                "spectrum", {"n": ctx.n, "p": args.p}, serialize.spectrum_json(report)
-            )
-        )
-    elif args.format == "csv":
-        rows = [
-            [
-                ctx.n,
-                args.p,
-                serialize.fmt_float(serialize.round9(ep.value.real)),
-                serialize.fmt_float(serialize.round9(ep.value.imag)),
-                ep.multiplicity,
-                serialize.fmt_float(report.fp_dim),
-                serialize.fmt_bool(report.simple),
-            ]
-            for ep in report.eigenpairs
+    result = {
+        "n": ctx.n,
+        "p": p,
+        "computed": serialize.poly_json(computed),
+        "closed_form": None if closed is None else serialize.poly_json(closed),
+        "match": match,
+    }
+    rows = [
+        [
+            ctx.n,
+            p,
+            k,
+            frac_str(c),
+            "" if closed is None else frac_str(closed.coeffs[k]),
+            "" if match is None else fmt_bool(match),
         ]
-        out = serialize.csv_string(
-            ["n", "p", "re", "im", "multiplicity", "fp_dim", "simple"], rows
-        )
+        for k, c in enumerate(computed.coeffs)
+    ]
+    if closed is None:
+        tail = "none (p=0)"
     else:
-        eig = ", ".join(
-            f"{serialize.fmt_complex(ep.value)} (x{ep.multiplicity})"
-            for ep in report.eigenpairs
-        )
-        out = (
-            f"n={ctx.n} p={args.p} | eigenvalues: {eig} | "
-            f"FPdim: {serialize.fmt_float(report.fp_dim)} | "
-            f"simple: {serialize.fmt_bool(report.simple)}\n"
-        )
-    return EXIT_OK, out
+        tail = f"{serialize.poly_text(closed)} | match: {fmt_bool(match)}"
+    line = f"{serialize.poly_text(computed)} | closed form: {tail}"
+    header = ["n", "p", "coeff_index", "computed", "closed_form", "match"]
+    return code, result, header, rows, [line]
 
 
-def cmd_fpdim(args, parser) -> tuple[int, str]:
-    ctx = _context_or_exit(parser, args.n)
-    _check_p(parser, ctx, args.p, 1)
-    value = spectra.fp_dim(ctx, args.p)
+def cmd_spectrum(ctx, p):
+    report = spectra.spectrum_report(ctx, p)
+    rows = [
+        [
+            ctx.n,
+            p,
+            fmt_float(round9(ep.value.real)),
+            fmt_float(round9(ep.value.imag)),
+            ep.multiplicity,
+            fmt_float(report.fp_dim),
+            fmt_bool(report.simple),
+        ]
+        for ep in report.eigenpairs
+    ]
+    eig = ", ".join(
+        f"{serialize.fmt_complex(ep.value)} (x{ep.multiplicity})" for ep in report.eigenpairs
+    )
+    line = (
+        f"n={ctx.n} p={p} | eigenvalues: {eig} | FPdim: {fmt_float(report.fp_dim)} | "
+        f"simple: {fmt_bool(report.simple)}"
+    )
+    header = ["n", "p", "re", "im", "multiplicity", "fp_dim", "simple"]
+    return EXIT_OK, serialize.spectrum_json(report), header, rows, [line]
 
-    if args.format == "json":
-        result = {"n": ctx.n, "p": args.p, "value": serialize.round9(value)}
-        out = serialize.dumps_canonical(
-            serialize.envelope("fpdim", {"n": ctx.n, "p": args.p}, result)
-        )
-    elif args.format == "csv":
-        out = serialize.csv_string(
-            ["n", "p", "value"], [[ctx.n, args.p, serialize.fmt_float(value)]]
-        )
-    else:
-        out = f"FPdim(n={ctx.n}, p={args.p}) = {serialize.fmt_float(value)}\n"
-    return EXIT_OK, out
+
+def cmd_fpdim(ctx, p):
+    value = spectra.fp_dim(ctx, p)
+    result = {"n": ctx.n, "p": p, "value": round9(value)}
+    line = f"FPdim(n={ctx.n}, p={p}) = {fmt_float(value)}"
+    return EXIT_OK, result, ["n", "p", "value"], [[ctx.n, p, fmt_float(value)]], [line]
 
 
-def cmd_galkin(args, parser) -> tuple[int, str]:
-    if not 2 <= args.n_min <= args.n_max:
-        parser.error(f"need 2 <= n-min <= n-max, got [{args.n_min}, {args.n_max}]")
-    results = [spectra.galkin_check(make_context(n)) for n in range(args.n_min, args.n_max + 1)]
+def cmd_galkin(n_min, n_max):
+    results = [spectra.galkin_check(make_context(n)) for n in range(n_min, n_max + 1)]
     all_pass = all(r.passed for r in results)
     code = EXIT_OK if all_pass else EXIT_MISMATCH
-
-    if args.format == "json":
-        rows = [
-            {
-                "n": r.n,
-                "fpdim_c1": serialize.round9(r.fpdim_c1),
-                "bound": serialize.round9(r.bound),
-                "margin": serialize.round9(r.margin),
-                "pass": r.passed,
-            }
-            for r in results
-        ]
-        result = {
-            "n_min": args.n_min,
-            "n_max": args.n_max,
-            "rows": rows,
-            "all_pass": all_pass,
+    json_rows = [
+        {
+            "n": r.n,
+            "fpdim_c1": round9(r.fpdim_c1),
+            "bound": round9(r.bound),
+            "margin": round9(r.margin),
+            "pass": r.passed,
         }
-        out = serialize.dumps_canonical(
-            serialize.envelope("galkin", {"n_min": args.n_min, "n_max": args.n_max}, result)
-        )
-    elif args.format == "csv":
-        rows = [
-            [
-                r.n,
-                serialize.fmt_float(r.fpdim_c1),
-                serialize.fmt_float(r.bound),
-                serialize.fmt_float(r.margin),
-                serialize.fmt_bool(r.passed),
-            ]
-            for r in results
-        ]
-        out = serialize.csv_string(["n", "fpdim_c1", "bound", "margin", "pass"], rows)
-    else:
-        lines = [
-            f"n={r.n} fpdim_c1={serialize.fmt_float(r.fpdim_c1)} "
-            f"bound={serialize.fmt_float(r.bound)} margin={serialize.fmt_float(r.margin)} "
-            f"pass={serialize.fmt_bool(r.passed)}"
-            for r in results
-        ]
-        lines.append(f"all pass: {serialize.fmt_bool(all_pass)}")
-        out = "\n".join(lines) + "\n"
-    return code, out
+        for r in results
+    ]
+    result = {"n_min": n_min, "n_max": n_max, "rows": json_rows, "all_pass": all_pass}
+    header = ["n", "fpdim_c1", "bound", "margin", "pass"]
+    rows = [
+        [r.n, fmt_float(r.fpdim_c1), fmt_float(r.bound), fmt_float(r.margin), fmt_bool(r.passed)]
+        for r in results
+    ]
+    lines = [" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows]
+    lines.append(f"all pass: {fmt_bool(all_pass)}")
+    return code, result, header, rows, lines
 
 
-def cmd_verify(args, parser) -> tuple[int, str]:
-    checks = None
-    if args.checks:
-        checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+def cmd_verify(report):
+    code = EXIT_OK if report.all_passed else EXIT_MISMATCH
+    rows = [[r.check_id, r.n, r.p, r.status, r.detail] for r in report.results]
+    lines = [
+        f"{r.status} {r.check_id} n={r.n}" + (f" p={r.p}" if r.p >= 0 else "")
+        for r in report.results
+    ]
+    lines += [
+        f"summary {cid}: {counts['pass']} pass, {counts['fail']} fail"
+        for cid, counts in sorted(report.summary.items())
+    ]
+    lines.append("ALL PASS" if report.all_passed else "FAILURES PRESENT")
+    header = ["check_id", "n", "p", "status", "detail"]
+    return code, serialize.report_json(report), header, rows, lines
+
+
+#: name: (command, help, least p for an -n/-p subcommand or None for an n range)
+SUBCOMMANDS = {
+    "charpoly": (cmd_charpoly, "characteristic polynomial of one operator", 0),
+    "spectrum": (cmd_spectrum, "closed-form eigenvalues of one operator", 1),
+    "fpdim": (cmd_fpdim, "Frobenius-Perron dimension of one basis class", 1),
+    "galkin": (cmd_galkin, "anticanonical lower-bound margins over a range of n", None),
+    "verify": (cmd_verify, "run invariant checks over a range of n", None),
+}
+
+
+def _usage_checked(parser, fn, *args, **kwargs):
+    """fn(*args, **kwargs), reporting a ValueError as a usage error (exit 2)."""
     try:
-        report = verifier.run_suite(args.n_min, args.n_max, checks=checks, jobs=args.jobs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
-    code = EXIT_OK if report.all_passed else EXIT_MISMATCH
-
-    if args.format == "json":
-        out = serialize.dumps_canonical(
-            serialize.envelope(
-                "verify",
-                {
-                    "n_min": args.n_min,
-                    "n_max": args.n_max,
-                    "checks": sorted(checks) if checks else sorted(verifier.CHECK_IDS),
-                },
-                serialize.report_json(report),
-            )
-        )
-    elif args.format == "csv":
-        rows = [[r.check_id, r.n, r.p, r.status, r.detail] for r in report.results]
-        out = serialize.csv_string(["check_id", "n", "p", "status", "detail"], rows)
-    else:
-        lines = [
-            f"{r.status} {r.check_id} n={r.n}" + (f" p={r.p}" if r.p >= 0 else "")
-            for r in report.results
-        ]
-        for cid in sorted(report.summary):
-            counts = report.summary[cid]
-            lines.append(f"summary {cid}: {counts['pass']} pass, {counts['fail']} fail")
-        lines.append("ALL PASS" if report.all_passed else "FAILURES PRESENT")
-        out = "\n".join(lines) + "\n"
-    return code, out
-
-
-COMMANDS = {
-    "charpoly": cmd_charpoly,
-    "spectrum": cmd_spectrum,
-    "fpdim": cmd_fpdim,
-    "galkin": cmd_galkin,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code, out = COMMANDS[args.command](args, parser)
+    command, _, p_min = SUBCOMMANDS[args.command]
+    if p_min is not None:
+        ctx = _usage_checked(parser, make_context, args.n)
+        if not p_min <= args.p <= ctx.dim:
+            parser.error(f"p must be in [{p_min}, {ctx.dim}] for n={ctx.n}, got {args.p}")
+        inputs, params = (ctx, args.p), {"n": ctx.n, "p": args.p}
+    else:
+        params = {"n_min": args.n_min, "n_max": args.n_max}
+        if args.command == "galkin":
+            if not 2 <= args.n_min <= args.n_max:
+                parser.error(f"need 2 <= n-min <= n-max, got [{args.n_min}, {args.n_max}]")
+            inputs = (args.n_min, args.n_max)
+        else:
+            # None only when --checks is absent; a list naming no check is rejected.
+            checks = None
+            if args.checks is not None:
+                checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+            params["checks"] = sorted(verifier.CHECK_IDS if checks is None else checks)
+            report = _usage_checked(
+                parser, verifier.run_suite, args.n_min, args.n_max, checks=checks, jobs=args.jobs
+            )
+            inputs = (report,)
+
+    code, result, header, rows, lines = command(*inputs)
+    if args.format == "json":
+        out = serialize.dumps_canonical(serialize.envelope(args.command, params, result))
+    elif args.format == "csv":
+        out = serialize.csv_string(header, rows)
+    else:
+        out = "\n".join(lines) + "\n"
     sys.stdout.write(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

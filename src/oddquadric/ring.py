@@ -223,10 +223,6 @@ class Matrix:
     def col(self, i: int) -> Vector:
         return tuple(row[i] for row in self.rows)
 
-    def trace(self) -> Fraction:
-        diagonal = (v for i, row in enumerate(self._pairs) for j, v in row if j == i)
-        return Fraction(sum(diagonal), self._s)
-
     def denominators(self) -> set[int]:
         return {v.denominator for row in self.rows for v in row}
 

@@ -29,10 +29,6 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def round9(x: float) -> float:
     """Round to 9 significant digits (the precision every machine format carries)."""
     return float(f"{x:.9g}")
@@ -59,7 +55,7 @@ def poly_json(f: Poly) -> dict:
 
 
 def poly_from_json(d: dict) -> Poly:
-    return Poly([frac_from_str(s) for s in d["coeffs_ascending"]])
+    return Poly([Fraction(s) for s in d["coeffs_ascending"]])
 
 
 def poly_text(f: Poly, var: str = "λ") -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import repeat
-from math import prod
+from math import isfinite, prod
 from operator import sub
 
 import numpy as np
@@ -28,7 +28,6 @@ from .poly import Poly, squarefree_decomposition
 from .ring import QuadricContext, build_a1, build_ap
 
 DIAG_RESIDUAL_TOL = 1e-9     # max-norm of A*P - P*D, up to n = 20
-EIGVEC_RESIDUAL_TOL = 1e-9   # per-eigenvector residual, up to n = 20
 SHARED_EIGVEC_TOL = 1e-8     # shared-eigenvector residual for the other operators
 ROOT_MATCH_TOL = 1e-8        # numeric roots vs closed-form eigenvalues
 COR32_TOL = 1e-9             # the (lam^(2n-1) - 2)/2 identity
@@ -141,14 +140,6 @@ def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
     return np.array([[float(v) for v in row] for row in build_ap(ctx, p).rows])
 
 
-def eigenvector_residual(ctx: QuadricContext, j) -> float:
-    """Max-norm of A(t_1) v - lam v for the constructed eigenvector."""
-    a = operator_as_array(ctx, 1)
-    v = np.array(eigenvector(ctx, j))
-    lam = operator_eigenvalue(ctx, 1, j)
-    return float(np.max(np.abs(a @ v - lam * v)))
-
-
 def _pivot_ratio(p: np.ndarray) -> float:
     """min/max pivot magnitude under Gaussian elimination with partial pivoting."""
     a = p.astype(complex).copy()
@@ -235,7 +226,8 @@ def durand_kerner(coeffs, max_iter: int = DK_MAX_ITER) -> list[complex]:
     coeffs ascending, leading coefficient 1.  Starts from points on a circle
     bounding all roots, offset off the real axis to break symmetric stalls;
     stops when every root update drops below DK_TOL, and raises
-    RootFindingError if that does not happen within max_iter sweeps.
+    RootFindingError if that does not happen within max_iter sweeps, or as
+    soon as an update overflows to inf or NaN.
 
     Bit-identity contract: every root is bit for bit the one of the plain
     loop kept in tests/test_spectra.py, which evaluates Horner's rule
@@ -278,7 +270,11 @@ def durand_kerner(coeffs, max_iter: int = DK_MAX_ITER) -> list[complex]:
             val = prod(repeat(x, tail), start=val)
             steps.append(val / prod(map(sub, repeat(x), pts[:i] + pts[i + 1 :]), start=1 + 0j))
         pts = list(map(sub, pts, steps))
-        delta = max(0.0, *map(abs, steps))
+        sizes = list(map(abs, steps))
+        # max() drops a NaN unless it comes first, so this test precedes the convergence test.
+        if not all(map(isfinite, sizes)):
+            raise RootFindingError("root iteration overflowed: an update is not finite")
+        delta = max(sizes)
         if delta < DK_TOL:
             return pts
     raise RootFindingError(

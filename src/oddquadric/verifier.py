@@ -357,15 +357,18 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
 
     Results cover every (check, n, p) combination the checks' own case maps
     admit in the range; they are sorted by (check_id, n, p) and the summary
-    tallies pass/fail per check.  With jobs > 1 the (check, n) cells run in
-    pool_workers(jobs, cells) processes.  Output is deterministic regardless
-    of jobs.
+    tallies pass/fail per check.  checks=None runs every check; an empty list
+    raises ValueError rather than pass vacuously.  With jobs > 1 the (check, n)
+    cells run in pool_workers(jobs, cells) processes.  Output is deterministic
+    regardless of jobs.
     """
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if checks is None:
         checks = CHECK_IDS
     checks = sorted(set(checks))
+    if not checks:
+        raise ValueError("no check ids given; omit checks to run them all")
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")

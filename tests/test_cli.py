@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, exit codes, round trips, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -30,6 +31,76 @@ def run_subprocess(*argv):
         capture_output=True,
         env=env,
     )
+
+
+# The golden transcript: exit code and SHA-256 of stdout for every subcommand
+# in every format.  verify's JSON and CSV run a check subset: the details of
+# the diagonalization checks print numpy residuals whose last digits depend on
+# the BLAS build.  Any change to these hashes changes what users see.
+SUBSET = "galkin,charpoly_main,unit_column"
+GOLDEN = [
+    ("charpoly -n 2 -p 1", 0, "c0193cba99075ec97aed5a78025b211bd1e085a6b7b2be3206503f28712834c7"),
+    ("charpoly -n 2 -p 1 --format json", 0, "2e5dc6521ffce4f91f723ea6284b16a8dc2e90f883970ebb1c029f82f06ac808"),
+    ("charpoly -n 2 -p 1 --format csv", 0, "003576ea678f1251fd1cee1e119b9ef88348c6029e4445a2dd5ba3f2a3599527"),
+    ("charpoly -n 2 -p 0", 0, "03be94a422fb2050522e21c9f76edc3e74e2a068ae6aed335b37e9de471b0f6d"),
+    ("charpoly -n 2 -p 0 --format json", 0, "8b04c94c96503adea5b4acbfde307498f693974767ea72e0c1bbca36c1bc06a6"),
+    ("charpoly -n 2 -p 0 --format csv", 0, "b97be8b5395260db0932bf6878148d296522dd8895051100a138ee392397f838"),
+    ("charpoly -n 5 -p 3", 0, "766d0de3afc7a9c6f262790866525b4ec3f8e5d5683e2aca63996ddbe1982d9a"),
+    ("charpoly -n 5 -p 3 --format json", 0, "0a8edeb1afeb22829c95e2c4ef92e7ca654c3989482e4fedf221a0f4accb4b75"),
+    ("charpoly -n 5 -p 3 --format csv", 0, "015a7dabbf37a4a54f9f049b265b97b39fec1f9408c9869a086c219cf2a4fd01"),
+    ("charpoly -n 48 -p 19", 0, "2892591d4018f597fae2260d5fd996b535320d58077fdbe4e4188cfc2c6fcdb2"),
+    ("spectrum -n 2 -p 1", 0, "7ffeb167728825b886f453e71b82a3b73dfeef250224bc5106f76209a7eaad62"),
+    ("spectrum -n 2 -p 1 --format json", 0, "de63968a3d50cf03717f045eb4718cabead6382d1c30fd0932653c1867fc4ce9"),
+    ("spectrum -n 2 -p 1 --format csv", 0, "03e3ab9361dbbe65f2416d32dbc15f3f8b08004496ee1a873b1a990286ec8d43"),
+    ("spectrum -n 2 -p 3", 0, "af130104854981145eb001911861856200a9e7c0510941d79c75fbfcc6182e69"),
+    ("spectrum -n 2 -p 3 --format json", 0, "d9b313b1effd84bcef46b4c26fc4df50401802a2257e1ffdff9917e8885b1dff"),
+    ("spectrum -n 2 -p 3 --format csv", 0, "668b1e7c4282d5dfc2e50042d6e057b04445bfd9da077d8dfddb8ccf351896a5"),
+    ("spectrum -n 3 -p 4", 0, "40968dca76bb57733c4b09b6f8f4b99f81ef2c6a3143d94d69bc43c0ef3bad49"),
+    ("spectrum -n 3 -p 4 --format json", 0, "ce56578c13c6ac0642d68bf7e4305c79123db3e0d56fa5319ecb82faa59eaea6"),
+    ("spectrum -n 3 -p 4 --format csv", 0, "b5d8c60ef8e8099c461f0167d76f46d3bc8502983f8e990f063ec9d9dd7b0a27"),
+    ("fpdim -n 2 -p 1", 0, "9dae37e0018579aaee10b7c409c4d774570a492c0aec5c526ed65fec197779f4"),
+    ("fpdim -n 2 -p 1 --format json", 0, "f9616130b4962b9ab971958ec1c465bbed874230e485230b012307165692c69b"),
+    ("fpdim -n 2 -p 1 --format csv", 0, "2316534019ba4bb99de52600fc35b3884d0038a82f98f00e7186f6439c58e4d9"),
+    ("fpdim -n 4 -p 2", 0, "b7d30e69bd77a41f7775afe2e074bbdeb8083ac6be1d603a61ea660fde9ecf9f"),
+    ("fpdim -n 4 -p 2 --format json", 0, "d980d79c3b5e60245aed852171162e8f48a461bd6bcbcc31752094904c4e7a57"),
+    ("fpdim -n 4 -p 2 --format csv", 0, "0a959c66204ca4d0743dcf4f0a45a00ed55d4a44859de05134adaeb90288fe66"),
+    ("galkin --n-min 2 --n-max 5", 0, "f3dc868e384723d31e091798d206721fd3b34bb3ba71789f3e4fbfc076e1321e"),
+    ("galkin --n-min 2 --n-max 5 --format json", 0, "42c0d21d4fcd31d5f788186b8a633b52aa59df1ef7bba0cbe488ad0fad8f905f"),
+    ("galkin --n-min 2 --n-max 5 --format csv", 0, "333c027f2ece7a24f21c1e7f8297c4cb5f1d138c6dd0a512e6ebe8cbecfcd397"),
+    ("verify --n-min 2 --n-max 3 --jobs 1", 0, "947946f6330159344d1f6c246c3d4d4b779fc7fff403f44955ea6044175e309e"),
+    (f"verify --n-min 2 --n-max 3 --checks {SUBSET} --jobs 1", 0, "d47719c4291f302cdd0b5e4d193e7c9d7e6b5dbcc56ca1e574aab2854802b855"),
+    (f"verify --n-min 2 --n-max 3 --checks {SUBSET} --jobs 1 --format json", 0, "727dccbb911c8cd175919d33e6c7f001e95da171c9c009f40c5a8876b939f36e"),
+    (f"verify --n-min 2 --n-max 3 --checks {SUBSET} --jobs 2 --format json", 0, "727dccbb911c8cd175919d33e6c7f001e95da171c9c009f40c5a8876b939f36e"),
+    (f"verify --n-min 2 --n-max 3 --checks {SUBSET} --jobs 1 --format csv", 0, "31be5f257bc1b1baea6c594399d917820eced9ba5f9ab9a01a2a95e5a03e273e"),
+]
+USAGE_ERRORS = [
+    ("charpoly -n 1 -p 0", "n must be at least 2, got 1"),
+    ("charpoly -n 2 -p 4", "p must be in [0, 3] for n=2, got 4"),
+    ("charpoly -n 2 -p -1", "p must be in [0, 3] for n=2, got -1"),
+    ("spectrum -n 2 -p 0", "p must be in [1, 3] for n=2, got 0"),
+    ("fpdim -n 3 -p 6", "p must be in [1, 5] for n=3, got 6"),
+    ("galkin --n-min 3 --n-max 2", "need 2 <= n-min <= n-max, got [3, 2]"),
+    ("galkin --n-min 1 --n-max 3", "need 2 <= n-min <= n-max, got [1, 3]"),
+    ("verify --n-min 3 --n-max 2", "need 2 <= n_min <= n_max, got [3, 2]"),
+    ("verify --n-min 2 --n-max 2 --checks bogus", "unknown check ids: bogus"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[c for c, _, _ in GOLDEN])
+def test_golden_transcript(command, code, digest, capsys):
+    got = main(command.split())
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("command, message", USAGE_ERRORS, ids=[c for c, _ in USAGE_ERRORS])
+def test_golden_usage_errors(command, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"oddquadric: error: {message}"
 
 
 class TestCharpoly:
@@ -167,6 +238,25 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-min", "2", "--n-max", "2", "--checks", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("checks", [",", " , ", ""])
+    def test_checks_naming_no_check_exits_2(self, checks, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n-min", "2", "--n-max", "3", "--checks", checks])
+        assert exc.value.code == 2
+        assert "no check ids given" in capsys.readouterr().err
+
+    def test_params_list_every_check_without_checks(self, capsys):
+        from oddquadric import CHECK_IDS
+
+        code, out = run_cli(
+            "verify", "--n-min", "2", "--n-max", "2", "--format", "json", "--jobs", "1",
+            capsys=capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["checks"] == sorted(CHECK_IDS)
+        assert sorted(doc["result"]["summary"]) == sorted(CHECK_IDS)
 
     def test_bad_format_exits_2(self):
         with pytest.raises(SystemExit) as exc:

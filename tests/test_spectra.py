@@ -180,6 +180,13 @@ class TestRootFinding:
         with pytest.raises(RootFindingError):
             durand_kerner([complex(-4), 0j, 0j, complex(1)], max_iter=1)
 
+    @pytest.mark.parametrize(
+        "coeffs", [[1e300] + [0] * 29 + [1], [1e308, 1e308, 1]], ids=["deg30", "deg2"]
+    )
+    def test_overflow_is_loud(self, coeffs):
+        with pytest.raises(RootFindingError, match="not finite"):
+            durand_kerner(coeffs)
+
     def test_against_numpy_roots(self):
         rng = np.random.default_rng(7)
         for _ in range(10):

@@ -70,6 +70,11 @@ def test_unknown_check_rejected():
         run_suite(2, 3, checks=["charpoly_main", "nope"])
 
 
+def test_empty_check_list_rejected():
+    with pytest.raises(ValueError, match="no check ids"):
+        run_suite(2, 3, checks=[])
+
+
 def test_invalid_range_rejected():
     with pytest.raises(ValueError):
         run_suite(1, 3)
