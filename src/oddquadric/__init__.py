@@ -24,7 +24,6 @@ from .ring import (
     build_ap,
     chevalley_column,
     make_context,
-    schubert_dim,
     star_multiply,
 )
 from .serialize import VERSION as __version__
@@ -50,10 +49,8 @@ from .spectra import (
 from .verifier import (
     CHECK_IDS,
     CheckResult,
-    SimplicityRow,
     VerificationReport,
     run_suite,
-    simplicity_table,
 )
 
 __all__ = [
@@ -67,7 +64,6 @@ __all__ = [
     "Poly",
     "QuadricContext",
     "RootFindingError",
-    "SimplicityRow",
     "SpectrumReport",
     "VerificationReport",
     "X",
@@ -93,8 +89,6 @@ __all__ = [
     "operator_eigenvalue",
     "poly_gcd",
     "run_suite",
-    "schubert_dim",
-    "simplicity_table",
     "spectrum_report",
     "squarefree_decomposition",
     "star_multiply",

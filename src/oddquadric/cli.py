@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, p_min) in SUBCOMMANDS.items():
+    for name, (_, help_text, p_min, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if p_min is None:
             sp.add_argument("--n-min", type=int, required=True)
@@ -155,13 +155,17 @@ def cmd_verify(report):
     return code, serialize.report_json(report), header, rows, lines
 
 
-#: name: (command, help, least p for an -n/-p subcommand or None for an n range)
+#: name: (command, help, least p for an -n/-p subcommand or None for an n range,
+#: largest n or --n-max accepted or None).  The ceilings hold one run to about
+#: half a minute and 2 GB on a 2-vCPU Xeon: charpoly -n 512 takes 20-25 s,
+#: verify grows as n^3.7 and takes about 30 s at --n-max 32, and spectrum and
+#: galkin take 3.4 s and 1.8 s at n = 10^5 (about 25 s and 12 s at 10^6).
 SUBCOMMANDS = {
-    "charpoly": (cmd_charpoly, "characteristic polynomial of one operator", 0),
-    "spectrum": (cmd_spectrum, "closed-form eigenvalues of one operator", 1),
-    "fpdim": (cmd_fpdim, "Frobenius-Perron dimension of one basis class", 1),
-    "galkin": (cmd_galkin, "anticanonical lower-bound margins over a range of n", None),
-    "verify": (cmd_verify, "run invariant checks over a range of n", None),
+    "charpoly": (cmd_charpoly, "characteristic polynomial of one operator", 0, 512),
+    "spectrum": (cmd_spectrum, "closed-form eigenvalues of one operator", 1, 10**5),
+    "fpdim": (cmd_fpdim, "Frobenius-Perron dimension of one basis class", 1, None),
+    "galkin": (cmd_galkin, "anticanonical lower-bound margins over a range of n", None, 10**5),
+    "verify": (cmd_verify, "run invariant checks over a range of n", None, 32),
 }
 
 
@@ -176,7 +180,10 @@ def _usage_checked(parser, fn, *args, **kwargs):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command, _, p_min = SUBCOMMANDS[args.command]
+    command, _, p_min, n_cap = SUBCOMMANDS[args.command]
+    n_top, n_flag = (args.n, "n") if p_min is not None else (args.n_max, "n-max")
+    if n_cap is not None and n_top > n_cap:
+        parser.error(f"{n_flag} must be at most {n_cap} for {args.command}, got {n_top}")
     if p_min is not None:
         ctx = _usage_checked(parser, make_context, args.n)
         if not p_min <= args.p <= ctx.dim:
@@ -193,10 +200,11 @@ def main(argv=None) -> int:
             checks = None
             if args.checks is not None:
                 checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-            params["checks"] = sorted(verifier.CHECK_IDS if checks is None else checks)
             report = _usage_checked(
                 parser, verifier.run_suite, args.n_min, args.n_max, checks=checks, jobs=args.jobs
             )
+            # The summary lists each check that ran once, in sorted order.
+            params["checks"] = list(report.summary)
             inputs = (report,)
 
     code, result, header, rows, lines = command(*inputs)
@@ -206,10 +214,13 @@ def main(argv=None) -> int:
         out = serialize.csv_string(header, rows)
     else:
         out = "\n".join(lines) + "\n"
-    sys.stdout.write(out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            parser.error(f"cannot write --out: {exc}")
+    sys.stdout.write(out)
     return code
 
 

@@ -153,10 +153,6 @@ class Poly:
         return self._num == (0,)
 
     @property
-    def leading(self) -> Fraction:
-        return Fraction(self._num[-1], self._den)
-
-    @property
     def is_monic(self) -> bool:
         return self._num[-1] == self._den
 
@@ -189,17 +185,10 @@ class Poly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return Poly.from_ints(_mul(self._num, other._num), self._den * other._den)
-        return self.scale(other)
-
-    def __rmul__(self, other) -> "Poly":
-        return self.scale(other)
-
-    def scale(self, c) -> "Poly":
-        c = as_fraction(c)
-        return Poly.from_ints([c.numerator * v for v in self._num], c.denominator * self._den)
+    def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return Poly.from_ints(_mul(self._num, other._num), self._den * other._den)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -224,9 +213,6 @@ class Poly:
         den = s * self._den
         return Poly.from_ints([v * other._den for v in q], den), Poly.from_ints(r, den)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
 
@@ -237,13 +223,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly.from_ints(_derivative(self._num), self._den)
-
-    def __call__(self, x):
-        """Horner evaluation; works for Fraction, float and complex arguments."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def zero_root_multiplicity(self) -> int:
         """Multiplicity of the root 0 (index of the lowest nonzero coefficient)."""
@@ -263,13 +242,6 @@ X = Poly((0, 1))
 
 def _monic(a) -> Poly:
     return Poly.from_ints(a, a[-1])
-
-
-def exact_div(a: Poly, b: Poly) -> Poly:
-    q, r = divmod(a, b)
-    if not r.is_zero:
-        raise ValueError("division is not exact")
-    return q
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

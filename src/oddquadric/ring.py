@@ -45,11 +45,6 @@ class QuadricContext:
         """Number of basis classes, 2n."""
         return 2 * self.n
 
-    @property
-    def q_degree(self) -> int:
-        """Degree of the quantum parameter, 2n-1."""
-        return 2 * self.n - 1
-
     def d(self, p: int) -> int:
         """gcd(p, 2n-1); controls eigenvalue multiplicities."""
         return gcd(p, 2 * self.n - 1)
@@ -74,12 +69,6 @@ def check_index(ctx: QuadricContext, p: int) -> None:
         raise ValueError(f"basis index must be an integer, got {p!r}")
     if not 0 <= p <= ctx.dim:
         raise ValueError(f"basis index {p} outside [0, {ctx.dim}]")
-
-
-def schubert_dim(ctx: QuadricContext, p: int) -> int:
-    """Dimension of the degree-p basis cycle: 2n-1-p (bookkeeping only)."""
-    check_index(ctx, p)
-    return ctx.dim - p
 
 
 class Matrix:
@@ -156,26 +145,18 @@ class Matrix:
         (column, value) pairs of their nonzero entries."""
         return self._s, self._pairs
 
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix) or other.size != self.size:
+            return NotImplemented
         s = lcm(self._s, other._s)
-        fa, fb = s // self._s, sign * (s // other._s)
+        fa, fb = s // self._s, s // other._s
         rows = []
         for ra, rb in zip(self._pairs, other._pairs):
             acc = {j: fa * v for j, v in ra}
             for j, v in rb:
-                acc[j] = acc.get(j, 0) + fb * v
+                acc[j] = acc.get(j, 0) - fb * v
             rows.append(acc.items())
         return Matrix._exact(self.size, s, rows)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix) or other.size != self.size:
-            return NotImplemented
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix) or other.size != self.size:
-            return NotImplemented
-        return self._combine(other, -1)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -219,12 +200,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         s = self._s
         return tuple(sum((v * vec[j] for j, v in row), Fraction(0)) / s for row in self._pairs)
-
-    def col(self, i: int) -> Vector:
-        return tuple(row[i] for row in self.rows)
-
-    def denominators(self) -> set[int]:
-        return {v.denominator for row in self.rows for v in row}
 
 
 class Operator(Matrix):

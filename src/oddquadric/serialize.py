@@ -54,10 +54,6 @@ def poly_json(f: Poly) -> dict:
     return {"coeffs_ascending": [frac_str(c) for c in f.coeffs]}
 
 
-def poly_from_json(d: dict) -> Poly:
-    return Poly([Fraction(s) for s in d["coeffs_ascending"]])
-
-
 def poly_text(f: Poly, var: str = "λ") -> str:
     """Human rendering, descending by degree: 'λ^4 - 4λ'."""
     terms = []
@@ -146,35 +142,13 @@ def report_json(report) -> dict:
     }
 
 
-def report_from_json(d: dict):
-    """Rebuild a verification report value object from its JSON form."""
-    from .verifier import CheckResult, VerificationReport
-
-    return VerificationReport(
-        tool_version=d["tool_version"],
-        n_range=tuple(d["n_range"]),
-        results=[
-            CheckResult(
-                check_id=r["check_id"],
-                n=r["n"],
-                p=r["p"],
-                status=r["status"],
-                detail=r["detail"],
-                witness=r["witness"],
-            )
-            for r in d["results"]
-        ],
-        summary=d["summary"],
-    )
-
-
 def spectrum_json(report) -> dict:
     return {
         "n": report.ctx.n,
         "p": report.p,
         "eigenpairs": [eigenpair_json(ep) for ep in report.eigenpairs],
         "fp_dim": round9(report.fp_dim),
-        "residual_diag": None if report.residual_diag is None else round9(report.residual_diag),
+        "residual_diag": None,  # kept in the wire format; a closed-form spectrum has no residual
         "simple": report.simple,
     }
 

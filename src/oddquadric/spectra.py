@@ -53,9 +53,13 @@ class SpectrumReport:
     p: int
     eigenpairs: list[EigenPair]
     fp_dim: float
-    residual_diag: float | None
     simple: bool
-    p_invertible: bool = True
+
+
+@dataclass(frozen=True)
+class Diagonalization:
+    residual_diag: float
+    p_invertible: bool
 
 
 def tau1_eigenvalue(ctx: QuadricContext, j: int) -> complex:
@@ -89,7 +93,7 @@ def closed_eigenvalues(ctx: QuadricContext, p: int) -> list[EigenPair]:
         return [EigenPair(1 + 0j, dim), EigenPair(-1 + 0j, 1)]
     d = ctx.d(p)
     m = dim // d
-    r = 2 ** (2 * p / dim) if p < n else 2 ** (2 * p / dim - 1)
+    r = fp_dim(ctx, p)
     pairs = [EigenPair(0j, 1)]
     for k in range(m):
         pairs.append(EigenPair(r * cmath.exp(2j * cmath.pi * k / m), d))
@@ -142,7 +146,7 @@ def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
 
 def _pivot_ratio(p: np.ndarray) -> float:
     """min/max pivot magnitude under Gaussian elimination with partial pivoting."""
-    a = p.astype(complex).copy()
+    a = p.astype(complex)
     n = a.shape[0]
     pivots = []
     for c in range(n):
@@ -157,7 +161,7 @@ def _pivot_ratio(p: np.ndarray) -> float:
     return min(pivots) / max(pivots)
 
 
-def verify_diagonalization(ctx: QuadricContext) -> SpectrumReport:
+def verify_diagonalization(ctx: QuadricContext) -> Diagonalization:
     """Numeric check that the eigenvector matrix diagonalizes the degree-one operator.
 
     P has the 0-eigenvector first and then the eigenvectors in index order;
@@ -170,17 +174,7 @@ def verify_diagonalization(ctx: QuadricContext) -> SpectrumReport:
     p = np.array([eigenvector(ctx, j) for j in selectors]).T
     d = np.diag([operator_eigenvalue(ctx, 1, j) for j in selectors])
     residual = float(np.max(np.abs(a @ p - p @ d)))
-    invertible = _pivot_ratio(p) > PIVOT_RATIO
-    pairs = closed_eigenvalues(ctx, 1)
-    return SpectrumReport(
-        ctx=ctx,
-        p=1,
-        eigenpairs=pairs,
-        fp_dim=fp_dim(ctx, 1),
-        residual_diag=residual,
-        simple=all(ep.multiplicity == 1 for ep in pairs),
-        p_invertible=invertible,
-    )
+    return Diagonalization(residual_diag=residual, p_invertible=_pivot_ratio(p) > PIVOT_RATIO)
 
 
 def spectrum_report(ctx: QuadricContext, p: int) -> SpectrumReport:
@@ -191,7 +185,6 @@ def spectrum_report(ctx: QuadricContext, p: int) -> SpectrumReport:
         p=p,
         eigenpairs=pairs,
         fp_dim=fp_dim(ctx, p),
-        residual_diag=None,
         simple=all(ep.multiplicity == 1 for ep in pairs),
     )
 
@@ -372,7 +365,7 @@ def galkin_check(ctx: QuadricContext) -> GalkinResult:
     n = ctx.n
     m = 2 * n - 1
     fpdim_c1 = m * 4 ** (1 / m)
-    margin = fpdim_c1 - 2 * n
+    margin = galkin_margin(n)
     cross = None
     if n <= GALKIN_CROSSCHECK_MAX_N:
         scaled = build_a1(ctx).scale(2 * n - 1)

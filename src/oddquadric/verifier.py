@@ -30,6 +30,7 @@ from .spectra import (
     DIAG_RESIDUAL_TOL,
     ROOT_MATCH_TOL,
     SHARED_EIGVEC_TOL,
+    _eigen_selectors,
     corollary_32_check,
     eigenvector,
     fp_dim,
@@ -216,7 +217,7 @@ def _check_simultaneous_diag(n, p):
     ctx = make_context(n)
     a = operator_as_array(ctx, p)
     worst = 0.0
-    for j in ["zero"] + list(range(2 * n - 1)):
+    for j in _eigen_selectors(ctx):
         v = np.array(eigenvector(ctx, j))
         mu = operator_eigenvalue(ctx, p, j)
         worst = max(worst, float(np.max(np.abs(a @ v - mu * v))))
@@ -389,28 +390,3 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
         results=results,
         summary=summary,
     )
-
-
-@dataclass(frozen=True)
-class SimplicityRow:
-    n: int
-    p: int
-    d: int
-    simple: bool
-
-
-def simplicity_table(n_min: int, n_max: int) -> list[SimplicityRow]:
-    """Per-(n, p) simplicity verdicts, computed from the polynomial, never the gcd.
-
-    The d column carries the gcd prediction (simple iff d = 1 and p is not
-    the point degree); comparing the two columns is the caller's assertion.
-    """
-    if not (2 <= n_min <= n_max):
-        raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        ctx = make_context(n)
-        for p in range(1, 2 * n):
-            f = closed_form_charpoly(ctx, p)
-            rows.append(SimplicityRow(n=n, p=p, d=ctx.d(p), simple=all_roots_simple(f)))
-    return rows

@@ -5,12 +5,15 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import oddquadric
 from oddquadric import build_a1, make_context, serialize
 from oddquadric.cli import main
 
@@ -83,6 +86,10 @@ USAGE_ERRORS = [
     ("galkin --n-min 1 --n-max 3", "need 2 <= n-min <= n-max, got [1, 3]"),
     ("verify --n-min 3 --n-max 2", "need 2 <= n_min <= n_max, got [3, 2]"),
     ("verify --n-min 2 --n-max 2 --checks bogus", "unknown check ids: bogus"),
+    ("charpoly -n 513 -p 1", "n must be at most 512 for charpoly, got 513"),
+    ("spectrum -n 100001 -p 1", "n must be at most 100000 for spectrum, got 100001"),
+    ("galkin --n-min 2 --n-max 100001", "n-max must be at most 100000 for galkin, got 100001"),
+    ("verify --n-min 2 --n-max 33", "n-max must be at most 32 for verify, got 33"),
 ]
 
 
@@ -184,6 +191,10 @@ class TestFpdim:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows == [["n", "p", "value"], ["2", "3", "1"]]
 
+    def test_no_n_ceiling(self, capsys):
+        code, out = run_cli("fpdim", "-n", "1000000000", "-p", "1", capsys=capsys)
+        assert (code, out) == (0, "FPdim(n=1000000000, p=1) = 1\n")
+
 
 class TestGalkin:
     def test_rows_and_margins(self, capsys):
@@ -258,6 +269,17 @@ class TestVerify:
         assert doc["params"]["checks"] == sorted(CHECK_IDS)
         assert sorted(doc["result"]["summary"]) == sorted(CHECK_IDS)
 
+    def test_params_list_a_repeated_check_once(self, capsys):
+        code, out = run_cli(
+            "verify", "--n-min", "2", "--n-max", "2", "--checks", "galkin,galkin",
+            "--format", "json", "--jobs", "1",
+            capsys=capsys,
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"]["checks"] == ["galkin"]
+        assert doc["result"]["summary"] == {"galkin": {"pass": 1, "fail": 0}}
+
     def test_bad_format_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n-min", "2", "--n-max", "2", "--format", "xml"])
@@ -301,27 +323,37 @@ class TestOutFile:
         assert code == 0
         assert path.read_text(encoding="utf-8") == out
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly", "-n", "2", "-p", "1", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"oddquadric: error: cannot write --out: [Errno 2] No such file or directory: '{path}'"
+        )
+
 
 class TestRoundTrip:
     def test_verification_report_round_trips(self):
-        from oddquadric import run_suite
+        from oddquadric import CheckResult, run_suite
 
         report = run_suite(2, 3, checks=["charpoly_main", "galkin"])
         doc = serialize.report_json(report)
-        rebuilt = serialize.report_from_json(json.loads(serialize.dumps_canonical(doc)))
-        assert rebuilt.tool_version == report.tool_version
-        assert rebuilt.n_range == report.n_range
-        assert rebuilt.results == report.results
-        assert rebuilt.summary == report.summary
-        assert serialize.dumps_canonical(serialize.report_json(rebuilt)) == (
-            serialize.dumps_canonical(doc)
-        )
+        parsed = json.loads(serialize.dumps_canonical(doc))
+        assert parsed["tool_version"] == report.tool_version
+        assert tuple(parsed["n_range"]) == report.n_range
+        assert [CheckResult(**r) for r in parsed["results"]] == report.results
+        assert parsed["summary"] == report.summary
+        assert serialize.dumps_canonical(parsed) == serialize.dumps_canonical(doc)
 
     def test_polynomial_strings_round_trip_exactly(self):
-        from oddquadric import closed_form_charpoly, make_context
+        from oddquadric import Poly, closed_form_charpoly, make_context
 
         f = closed_form_charpoly(make_context(8), 5)
-        assert serialize.poly_from_json(serialize.poly_json(f)) == f
+        coeffs = serialize.poly_json(f)["coeffs_ascending"]
+        assert Poly([Fraction(s) for s in coeffs]) == f
 
 
 class TestDeterminism:
@@ -347,3 +379,36 @@ def test_version_has_one_source():
     dynamic = meta["tool"]["setuptools"]["dynamic"]
     assert dynamic["version"] == {"attr": "oddquadric.serialize.VERSION"}
     assert oddquadric.__version__ == serialize.VERSION == "0.1.0"
+
+
+README = (SRC.parent / "README.md").read_text(encoding="utf-8")
+
+
+def readme_block(heading, lang):
+    """The first ```lang block after the Markdown heading `heading`."""
+    section = README.split(f"\n{heading}\n", 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+README_CLI = [
+    line.split("#", 1)[0].split()[1:]
+    for line in readme_block("## CLI", "sh").splitlines()
+    if line.startswith("oddquadric ")
+]
+
+
+class TestPublicSurface:
+    def test_all_names_resolve_once(self):
+        assert len(set(oddquadric.__all__)) == len(oddquadric.__all__)
+        assert [name for name in oddquadric.__all__ if not hasattr(oddquadric, name)] == []
+
+    def test_readme_lists_cli_examples(self):
+        assert len(README_CLI) >= 5
+
+    @pytest.mark.parametrize("argv", README_CLI, ids=" ".join)
+    def test_readme_cli_line_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv, capsys=capsys)[0] == 0
+
+    def test_readme_library_snippet_runs(self):
+        exec(readme_block("## Library layout", "python"), {})

@@ -14,7 +14,6 @@ from oddquadric import (
     build_ap,
     chevalley_column,
     make_context,
-    schubert_dim,
     star_multiply,
 )
 
@@ -84,7 +83,6 @@ class TestContext:
         ctx = make_context(n)
         assert ctx.dim == dim
         assert ctx.basis_size == basis_size
-        assert ctx.q_degree == dim
 
     @pytest.mark.parametrize("bad", [1, 0, -3])
     def test_small_n_rejected(self, bad):
@@ -100,13 +98,6 @@ class TestContext:
         assert ctx.d(3) == 3
         assert ctx.d(4) == 1
         assert ctx.d(9) == 9
-
-    def test_schubert_dim(self):
-        ctx = make_context(3)
-        assert schubert_dim(ctx, 0) == 5
-        assert schubert_dim(ctx, 5) == 0
-        with pytest.raises(ValueError):
-            schubert_dim(ctx, 6)
 
 
 class TestChevalleyColumn:
@@ -138,7 +129,7 @@ class TestBuildA1:
     @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_column_zero_is_degree_one(self, n):
         ctx = make_context(n)
-        assert build_a1(ctx).col(0) == basis_vector(ctx, 1)
+        assert tuple(row[0] for row in build_a1(ctx).rows) == basis_vector(ctx, 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_entries_in_0_1_2(self, n):
@@ -168,7 +159,7 @@ class TestBuildAp:
     def test_n3_point_class_denominators_and_unit_column(self):
         ctx = make_context(3)
         op = build_ap(ctx, 3)
-        assert op.denominators() <= {1, 2}
+        assert op.int_form()[0] in (1, 2)
         assert op.apply(basis_vector(ctx, 0)) == basis_vector(ctx, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -190,7 +181,7 @@ class TestBuildAp:
     def test_denominators_half_integral(self, n):
         ctx = make_context(n)
         for p in range(2 * n):
-            assert build_ap(ctx, p).denominators() <= {1, 2}
+            assert build_ap(ctx, p).int_form()[0] in (1, 2)
 
     def test_bad_p_rejected(self):
         ctx = make_context(2)

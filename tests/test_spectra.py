@@ -1,6 +1,7 @@
 """Closed-form eigendata, root finding, diagonalization, and the lower bound."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from oddquadric import (
     tau1_eigenvalue,
     verify_diagonalization,
 )
+from oddquadric.serialize import spectrum_json
 from oddquadric.spectra import (
     DK_MAX_ITER,
     DK_TOL,
@@ -242,13 +244,26 @@ class TestGalkin:
         assert result.passed
         assert result.cross_residual is None
 
+    def test_exact_certificate(self):
+        """The bound m * 4^(1/m) >= m + 1 = 2n holds for every n, with m = 2n - 1.
+
+        Raised to the m-th power it reads 4 * m^m >= (m + 1)^m, which holds
+        strictly because (1 + 1/m)^m < e < 4; checked here in integers.  For
+        the margin, e^x >= 1 + x at x = ln(4)/m gives 4^(1/m) >= 1 + ln(4)/m,
+        so m * 4^(1/m) - (m + 1) >= ln 4 - 1 > 0.38 for every n; the float
+        margin is checked against that floor.
+        """
+        assert all(4 * m**m > (m + 1) ** m for m in range(1, 2002, 2))
+        floor = math.log(4) - 1
+        assert all(galkin_margin(n) > floor for n in range(2, 10**4 + 1))
+
 
 class TestSpectrumReport:
     def test_point_class_report(self):
         report = spectrum_report(make_context(2), 3)
         assert report.fp_dim == 1.0
         assert not report.simple
-        assert report.residual_diag is None
+        assert spectrum_json(report)["residual_diag"] is None
 
     def test_simple_iff_gcd_one(self):
         ctx = make_context(5)

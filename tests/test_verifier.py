@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from oddquadric import CHECK_IDS, make_context, run_suite, simplicity_table
+from oddquadric import CHECK_IDS, make_context, run_suite
 from oddquadric import ring, serialize
 from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_workers, run_check_cell
 
@@ -100,16 +100,6 @@ def test_oracle_check_covers_only_small_dimensions():
     cases_fn, _ = CHECKS["charpoly_oracle"]
     assert cases_fn(5) == list(range(10))
     assert cases_fn(6) == []
-
-
-def test_simplicity_table_values():
-    rows = {(r.n, r.p): r for r in simplicity_table(2, 5)}
-    assert rows[(5, 3)].d == 3 and not rows[(5, 3)].simple
-    assert rows[(2, 1)].d == 1 and rows[(2, 1)].simple
-    assert not rows[(2, 3)].simple
-    for row in rows.values():
-        predicted = row.d == 1 and row.p != 2 * row.n - 1
-        assert row.simple == predicted
 
 
 def test_witness_cap_inserts_marker():
