@@ -14,6 +14,8 @@ with d = gcd(p, 2n-1).  All three paths produce monic polynomials of degree
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .poly import Poly, X, poly_gcd
 from .ring import Matrix, QuadricContext, check_index
 
@@ -107,6 +109,12 @@ def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
     check_index(ctx, p)
     if p == 0:
         raise ValueError("no closed form for p = 0; use charpoly_faddeev on the identity")
+    return _closed_form(ctx, p)
+
+
+@lru_cache(maxsize=None)
+def _closed_form(ctx: QuadricContext, p: int) -> Poly:
+    """closed_form_charpoly for a validated (ctx, p), built once per pair."""
     n = ctx.n
     if p == 2 * n - 1:
         f = (X - Poly([1])) ** (2 * n - 1) * (X + Poly([1]))

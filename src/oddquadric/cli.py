@@ -5,9 +5,11 @@ success / all checks passing, 2 on usage errors, 3 on a verification
 mismatch.  Output goes to stdout and, when --out is given, to that file as
 well; JSON is the only format carrying full witness payloads.
 
-Each cmd_* function takes validated inputs and returns (exit code, JSON
-result, CSV header, CSV rows, text lines).  main validates the inputs and
-renders the chosen format once, for every subcommand.
+Each cmd_* function takes validated inputs and returns its exit code and one
+builder per format: "json" gives the JSON result, "csv" the CSV header and an
+iterable of rows, "text" the text lines.  main validates the inputs, calls
+the builder of the chosen format only, and renders it once, for every
+subcommand.
 """
 
 from __future__ import annotations
@@ -55,104 +57,133 @@ def cmd_charpoly(ctx, p):
     closed = None if p == 0 else closed_form_charpoly(ctx, p)
     match = None if closed is None else computed == closed
     code = EXIT_OK if match in (None, True) else EXIT_MISMATCH
-    result = {
-        "n": ctx.n,
-        "p": p,
-        "computed": serialize.poly_json(computed),
-        "closed_form": None if closed is None else serialize.poly_json(closed),
-        "match": match,
-    }
-    rows = [
-        [
-            ctx.n,
-            p,
-            k,
-            frac_str(c),
-            "" if closed is None else frac_str(closed.coeffs[k]),
-            "" if match is None else fmt_bool(match),
-        ]
-        for k, c in enumerate(computed.coeffs)
-    ]
-    if closed is None:
-        tail = "none (p=0)"
-    else:
-        tail = f"{serialize.poly_text(closed)} | match: {fmt_bool(match)}"
-    line = f"{serialize.poly_text(computed)} | closed form: {tail}"
-    header = ["n", "p", "coeff_index", "computed", "closed_form", "match"]
-    return code, result, header, rows, [line]
+
+    def result():
+        return {
+            "n": ctx.n,
+            "p": p,
+            "computed": serialize.poly_json(computed),
+            "closed_form": None if closed is None else serialize.poly_json(closed),
+            "match": match,
+        }
+
+    def table():
+        closed_coeffs = None if closed is None else closed.coeffs
+        rows = (
+            [
+                ctx.n,
+                p,
+                k,
+                frac_str(c),
+                "" if closed is None else frac_str(closed_coeffs[k]),
+                "" if match is None else fmt_bool(match),
+            ]
+            for k, c in enumerate(computed.coeffs)
+        )
+        return ["n", "p", "coeff_index", "computed", "closed_form", "match"], rows
+
+    def lines():
+        if closed is None:
+            tail = "none (p=0)"
+        else:
+            tail = f"{serialize.poly_text(closed)} | match: {fmt_bool(match)}"
+        return [f"{serialize.poly_text(computed)} | closed form: {tail}"]
+
+    return code, {"json": result, "csv": table, "text": lines}
 
 
 def cmd_spectrum(ctx, p):
     report = spectra.spectrum_report(ctx, p)
-    rows = [
-        [
-            ctx.n,
-            p,
-            fmt_float(round9(ep.value.real)),
-            fmt_float(round9(ep.value.imag)),
-            ep.multiplicity,
-            fmt_float(report.fp_dim),
-            fmt_bool(report.simple),
+
+    def table():
+        rows = (
+            [
+                ctx.n,
+                p,
+                fmt_float(round9(ep.value.real)),
+                fmt_float(round9(ep.value.imag)),
+                ep.multiplicity,
+                fmt_float(report.fp_dim),
+                fmt_bool(report.simple),
+            ]
+            for ep in report.eigenpairs
+        )
+        return ["n", "p", "re", "im", "multiplicity", "fp_dim", "simple"], rows
+
+    def lines():
+        eig = ", ".join(
+            f"{serialize.fmt_complex(ep.value)} (x{ep.multiplicity})" for ep in report.eigenpairs
+        )
+        return [
+            f"n={ctx.n} p={p} | eigenvalues: {eig} | FPdim: {fmt_float(report.fp_dim)} | "
+            f"simple: {fmt_bool(report.simple)}"
         ]
-        for ep in report.eigenpairs
-    ]
-    eig = ", ".join(
-        f"{serialize.fmt_complex(ep.value)} (x{ep.multiplicity})" for ep in report.eigenpairs
-    )
-    line = (
-        f"n={ctx.n} p={p} | eigenvalues: {eig} | FPdim: {fmt_float(report.fp_dim)} | "
-        f"simple: {fmt_bool(report.simple)}"
-    )
-    header = ["n", "p", "re", "im", "multiplicity", "fp_dim", "simple"]
-    return EXIT_OK, serialize.spectrum_json(report), header, rows, [line]
+
+    return EXIT_OK, {"json": lambda: serialize.spectrum_json(report), "csv": table, "text": lines}
 
 
 def cmd_fpdim(ctx, p):
     value = spectra.fp_dim(ctx, p)
-    result = {"n": ctx.n, "p": p, "value": round9(value)}
-    line = f"FPdim(n={ctx.n}, p={p}) = {fmt_float(value)}"
-    return EXIT_OK, result, ["n", "p", "value"], [[ctx.n, p, fmt_float(value)]], [line]
+    return EXIT_OK, {
+        "json": lambda: {"n": ctx.n, "p": p, "value": round9(value)},
+        "csv": lambda: (["n", "p", "value"], [[ctx.n, p, fmt_float(value)]]),
+        "text": lambda: [f"FPdim(n={ctx.n}, p={p}) = {fmt_float(value)}"],
+    }
 
 
 def cmd_galkin(n_min, n_max):
     results = [spectra.galkin_check(make_context(n)) for n in range(n_min, n_max + 1)]
     all_pass = all(r.passed for r in results)
     code = EXIT_OK if all_pass else EXIT_MISMATCH
-    json_rows = [
-        {
-            "n": r.n,
-            "fpdim_c1": round9(r.fpdim_c1),
-            "bound": round9(r.bound),
-            "margin": round9(r.margin),
-            "pass": r.passed,
-        }
-        for r in results
-    ]
-    result = {"n_min": n_min, "n_max": n_max, "rows": json_rows, "all_pass": all_pass}
-    header = ["n", "fpdim_c1", "bound", "margin", "pass"]
-    rows = [
-        [r.n, fmt_float(r.fpdim_c1), fmt_float(r.bound), fmt_float(r.margin), fmt_bool(r.passed)]
-        for r in results
-    ]
-    lines = [" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows]
-    lines.append(f"all pass: {fmt_bool(all_pass)}")
-    return code, result, header, rows, lines
+
+    def result():
+        json_rows = [
+            {
+                "n": r.n,
+                "fpdim_c1": round9(r.fpdim_c1),
+                "bound": round9(r.bound),
+                "margin": round9(r.margin),
+                "pass": r.passed,
+            }
+            for r in results
+        ]
+        return {"n_min": n_min, "n_max": n_max, "rows": json_rows, "all_pass": all_pass}
+
+    def table():
+        rows = (
+            [r.n, fmt_float(r.fpdim_c1), fmt_float(r.bound), fmt_float(r.margin), fmt_bool(r.passed)]
+            for r in results
+        )
+        return ["n", "fpdim_c1", "bound", "margin", "pass"], rows
+
+    def lines():
+        header, rows = table()
+        out = [" ".join(f"{k}={v}" for k, v in zip(header, row)) for row in rows]
+        return out + [f"all pass: {fmt_bool(all_pass)}"]
+
+    return code, {"json": result, "csv": table, "text": lines}
 
 
 def cmd_verify(report):
     code = EXIT_OK if report.all_passed else EXIT_MISMATCH
-    rows = [[r.check_id, r.n, r.p, r.status, r.detail] for r in report.results]
-    lines = [
-        f"{r.status} {r.check_id} n={r.n}" + (f" p={r.p}" if r.p >= 0 else "")
-        for r in report.results
-    ]
-    lines += [
-        f"summary {cid}: {counts['pass']} pass, {counts['fail']} fail"
-        for cid, counts in sorted(report.summary.items())
-    ]
-    lines.append("ALL PASS" if report.all_passed else "FAILURES PRESENT")
-    header = ["check_id", "n", "p", "status", "detail"]
-    return code, serialize.report_json(report), header, rows, lines
+
+    def table():
+        rows = ([r.check_id, r.n, r.p, r.status, r.detail] for r in report.results)
+        return ["check_id", "n", "p", "status", "detail"], rows
+
+    def lines():
+        out = [
+            f"{r.status} {r.check_id} n={r.n}" + (f" p={r.p}" if r.p >= 0 else "")
+            for r in report.results
+        ]
+        out += [
+            f"summary {cid}: {counts['pass']} pass, {counts['fail']} fail"
+            for cid, counts in sorted(report.summary.items())
+        ]
+        out.append("ALL PASS" if report.all_passed else "FAILURES PRESENT")
+        return out
+
+    return code, {"json": lambda: serialize.report_json(report), "csv": table, "text": lines}
 
 
 #: name: (command, help, least p for an -n/-p subcommand or None for an n range,
@@ -207,13 +238,14 @@ def main(argv=None) -> int:
             params["checks"] = list(report.summary)
             inputs = (report,)
 
-    code, result, header, rows, lines = command(*inputs)
+    code, views = command(*inputs)
+    data = views[args.format]()  # only the chosen format is built
     if args.format == "json":
-        out = serialize.dumps_canonical(serialize.envelope(args.command, params, result))
+        out = serialize.dumps_canonical(serialize.envelope(args.command, params, data))
     elif args.format == "csv":
-        out = serialize.csv_string(header, rows)
+        out = serialize.csv_string(*data)
     else:
-        out = "\n".join(lines) + "\n"
+        out = "\n".join(data) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -163,15 +163,8 @@ class Matrix:
             return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
-        b = other._pairs
-        rows = []
-        for row in self._pairs:
-            acc = {}
-            for t, a in row:
-                for j, v in b[t]:
-                    acc[j] = acc.get(j, 0) + a * v
-            rows.append(acc.items())
-        return Matrix._exact(self.size, self._s * other._s, rows)
+        rows = _product_rows(self._pairs, other._pairs)
+        return Matrix._exact(self.size, self._s * other._s, [row.items() for row in rows])
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -195,11 +188,38 @@ class Matrix:
         )
 
     def apply(self, vec) -> Vector:
-        """Matrix-vector product, exact."""
+        """Matrix-vector product, exact.
+
+        The vector is put over one common denominator d, so each output entry
+        is one integer dot product over s*d.
+        """
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        s = self._s
-        return tuple(sum((v * vec[j] for j, v in row), Fraction(0)) / s for row in self._pairs)
+        vec = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in vec]
+        d = lcm(*(x.denominator for x in vec))
+        w = [x.numerator * (d // x.denominator) for x in vec]
+        sd = self._s * d
+        return tuple(Fraction(sum(v * w[j] for j, v in row), sd) for row in self._pairs)
+
+
+def _product_rows(a, b) -> list[dict[int, int]]:
+    """The integer rows of C*D for the integer rows a of C and b of D, as
+    {column: value} dicts.
+
+    A dict holds every column its row reaches, so an entry that cancels stays
+    as a 0; Matrix.__mul__ drops those and puts the result in lowest terms.
+    """
+    rows = []
+    for row in a:
+        acc = {}
+        for t, x in row:
+            for j, v in b[t]:
+                if j in acc:
+                    acc[j] += x * v
+                else:
+                    acc[j] = x * v
+        rows.append(acc)
+    return rows
 
 
 class Operator(Matrix):

@@ -106,7 +106,15 @@ def envelope(command: str, params: dict, result) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """The canonical JSON text of obj, newline-terminated.
+
+    json.dump writes the encoder's small chunks as they come, where json.dumps
+    would first hold all of them in one list, several times the size of the text.
+    """
+    buf = io.StringIO()
+    json.dump(obj, buf, sort_keys=True, indent=2, ensure_ascii=True)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 def cap_witness(witness: dict) -> dict:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from math import isfinite, prod
 from operator import sub
@@ -139,9 +140,29 @@ def _eigen_selectors(ctx: QuadricContext):
     return ["zero"] + list(range(ctx.dim))
 
 
+@lru_cache(maxsize=None)
+def _eigenvector_arrays(ctx: QuadricContext) -> tuple[np.ndarray, ...]:
+    """np.array(eigenvector(ctx, j)) for j in _eigen_selectors(ctx), read-only, built once per n."""
+    arrays = []
+    for j in _eigen_selectors(ctx):
+        v = np.array(eigenvector(ctx, j))
+        v.flags.writeable = False
+        arrays.append(v)
+    return tuple(arrays)
+
+
 def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
-    """Double-precision copy of the exact degree-p operator."""
-    return np.array([[float(v) for v in row] for row in build_ap(ctx, p).rows])
+    """Double-precision copy of the exact degree-p operator.
+
+    Built from the integer form (1/s) * C: each entry is the correctly rounded
+    quotient v / s, the same float as float(Fraction(v, s)).
+    """
+    s, rows = build_ap(ctx, p).int_form()
+    a = np.zeros((ctx.basis_size, ctx.basis_size))
+    for i, row in enumerate(rows):
+        for j, v in row:
+            a[i, j] = v / s
+    return a
 
 
 def _pivot_ratio(p: np.ndarray) -> float:
@@ -170,9 +191,8 @@ def verify_diagonalization(ctx: QuadricContext) -> Diagonalization:
     test is reported, never silently passed.
     """
     a = operator_as_array(ctx, 1)
-    selectors = _eigen_selectors(ctx)
-    p = np.array([eigenvector(ctx, j) for j in selectors]).T
-    d = np.diag([operator_eigenvalue(ctx, 1, j) for j in selectors])
+    p = np.array(_eigenvector_arrays(ctx)).T
+    d = np.diag([operator_eigenvalue(ctx, 1, j) for j in _eigen_selectors(ctx)])
     residual = float(np.max(np.abs(a @ p - p @ d)))
     return Diagonalization(residual_diag=residual, p_invertible=_pivot_ratio(p) > PIVOT_RATIO)
 

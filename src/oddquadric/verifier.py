@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -25,14 +26,14 @@ from .charpoly import (
     COFACTOR_DIM_LIMIT,
 )
 from .poly import Poly
-from .ring import Matrix, basis_vector, build_a1, build_ap, make_context
+from .ring import Matrix, _product_rows, basis_vector, build_a1, build_ap, make_context
 from .spectra import (
     DIAG_RESIDUAL_TOL,
     ROOT_MATCH_TOL,
     SHARED_EIGVEC_TOL,
     _eigen_selectors,
+    _eigenvector_arrays,
     corollary_32_check,
-    eigenvector,
     fp_dim,
     galkin_check,
     max_root_modulus,
@@ -163,9 +164,13 @@ def _check_unit_column(n, p):
 def _check_commutativity(n, p):
     ctx = make_context(n)
     ops = [build_ap(ctx, q) for q in range(2 * n)]
+    rows = [op.int_form()[1] for op in ops]
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
-            if ops[a] * ops[b] != ops[b] * ops[a]:
+            # Both products are over s_a * s_b, so equal integer rows decide;
+            # rows that differ may differ only by cancelled zeros, so * decides then.
+            ab, ba = _product_rows(rows[a], rows[b]), _product_rows(rows[b], rows[a])
+            if ab != ba and ops[a] * ops[b] != ops[b] * ops[a]:
                 return False, f"operators for degrees {a} and {b} do not commute", {
                     "p": a,
                     "r": b,
@@ -177,15 +182,15 @@ def _check_commutativity(n, p):
 
 def _check_grading(n, p):
     ctx = make_context(n)
-    op = build_ap(ctx, p)
+    s, rows = build_ap(ctx, p).int_form()
     m = 2 * n - 1
-    for j, row in enumerate(op.rows):
-        for i, v in enumerate(row):
-            if v and (j - i - p) % m != 0:
+    for j, row in enumerate(rows):
+        for i, v in row:
+            if (j - i - p) % m != 0:
                 return False, f"nonzero entry at ({j},{i}) violates degree grading", {
                     "row": j,
                     "col": i,
-                    "entry": serialize.frac_str(v),
+                    "entry": serialize.frac_str(Fraction(v, s)),
                 }
     return True, "all nonzero entries respect the degree grading", None
 
@@ -217,8 +222,7 @@ def _check_simultaneous_diag(n, p):
     ctx = make_context(n)
     a = operator_as_array(ctx, p)
     worst = 0.0
-    for j in _eigen_selectors(ctx):
-        v = np.array(eigenvector(ctx, j))
+    for j, v in zip(_eigen_selectors(ctx), _eigenvector_arrays(ctx)):
         mu = operator_eigenvalue(ctx, p, j)
         worst = max(worst, float(np.max(np.abs(a @ v - mu * v))))
     if worst <= SHARED_EIGVEC_TOL:

@@ -8,13 +8,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import oddquadric
-from oddquadric import build_a1, make_context, serialize
+from oddquadric import build_a1, make_context, serialize, spectrum_report
 from oddquadric.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -367,6 +369,29 @@ class TestDeterminism:
         ]
         assert outs[0]
         assert all(o == outs[0] for o in outs)
+
+
+def _traced_peak(fn, *args):
+    """Peak traced memory of fn(*args), in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt, bound", [("json", 6), ("text", 3)])
+def test_only_the_chosen_format_is_built(fmt, bound):
+    """spectrum at n = 20000 peaks within a small multiple of its report.
+
+    Building all three formats to print one peaks at about 10x the report for
+    json and 6x for text; json.dumps alone holds its encoder's chunks at about
+    6x the report."""
+    report_peak = _traced_peak(spectrum_report, make_context(20000), 1)
+    with redirect_stdout(io.StringIO()):
+        main_peak = _traced_peak(main, ["spectrum", "-n", "20000", "-p", "1", "--format", fmt])
+    assert main_peak < bound * report_peak
 
 
 def test_version_has_one_source():

@@ -12,6 +12,7 @@ from oddquadric import (
     Poly,
     RootFindingError,
     build_a1,
+    build_ap,
     charpoly_faddeev,
     all_roots,
     closed_eigenvalues,
@@ -35,6 +36,7 @@ from oddquadric.spectra import (
     DK_MAX_ITER,
     DK_TOL,
     _eigen_selectors,
+    _eigenvector_arrays,
     _initial_radius,
     durand_kerner,
     operator_as_array,
@@ -132,6 +134,32 @@ class TestSharedEigenvectors:
                 v = np.array(eigenvector(ctx, j))
                 mu = operator_eigenvalue(ctx, p, j)
                 assert float(np.max(np.abs(a @ v - mu * v))) <= 1e-8
+
+
+class TestFloatPathReference:
+    """The float arrays built from the integer form equal the dense-view ones bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_operator_array_matches_the_fraction_view(self, n):
+        ctx = make_context(n)
+        for p in range(2 * n):
+            got = operator_as_array(ctx, p)
+            want = np.array([[float(v) for v in row] for row in build_ap(ctx, p).rows])
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_cached_eigenvectors_match_a_fresh_build(self, n):
+        ctx = make_context(n)
+        arrays = _eigenvector_arrays(ctx)
+        assert _eigenvector_arrays(make_context(n)) is arrays
+        assert len(arrays) == len(_eigen_selectors(ctx))
+        for j, v in zip(_eigen_selectors(ctx), arrays):
+            want = np.array(eigenvector(ctx, j))
+            assert v.dtype == want.dtype and v.shape == want.shape
+            assert v.tobytes() == want.tobytes()
+            assert not v.flags.writeable
 
 
 class TestFpDim:

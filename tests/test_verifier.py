@@ -5,10 +5,11 @@ import os
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from oddquadric import CHECK_IDS, make_context, run_suite
-from oddquadric import ring, serialize
+from oddquadric import CHECK_IDS, eigenvector, make_context, operator_eigenvalue, run_suite
+from oddquadric import ring, serialize, spectra, verifier
 from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_workers, run_check_cell
 
 EXPECTED_CASE_COUNTS_2_TO_4 = {
@@ -245,3 +246,74 @@ def test_pool_workers_bounded_by_cells_and_cpus(monkeypatch):
     assert pool_workers(0, 5) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
     assert pool_workers(10**9, 10**6) == 1
+
+
+def _reference_details(n):
+    """diagonalization and simultaneous_diag details computed from the dense
+    Fraction view, with every eigenvector array built afresh for each use."""
+    ctx = make_context(n)
+    selectors = ["zero"] + list(range(2 * n - 1))
+    a = np.array([[float(v) for v in row] for row in ring.build_ap(ctx, 1).rows])
+    pm = np.array([eigenvector(ctx, j) for j in selectors]).T
+    dm = np.diag([operator_eigenvalue(ctx, 1, j) for j in selectors])
+    residual = float(np.max(np.abs(a @ pm - pm @ dm)))
+    invertible = spectra._pivot_ratio(pm) > spectra.PIVOT_RATIO
+    diag = f"residual {residual:.3e}, eigenvector matrix {'invertible' if invertible else 'SINGULAR'}"
+    shared = []
+    for p in range(1, 2 * n):
+        a = np.array([[float(v) for v in row] for row in ring.build_ap(ctx, p).rows])
+        worst = 0.0
+        for j in selectors:
+            v = np.array(eigenvector(ctx, j))
+            mu = operator_eigenvalue(ctx, p, j)
+            worst = max(worst, float(np.max(np.abs(a @ v - mu * v))))
+        shared.append(f"shared eigenvectors hold, worst residual {worst:.3e}")
+    return diag, shared
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_numeric_details_match_the_dense_reference(n):
+    diag, shared = _reference_details(n)
+    assert [r.detail for r in run_check_cell("diagonalization", n)] == [diag]
+    assert [r.detail for r in run_check_cell("simultaneous_diag", n)] == shared
+
+
+def test_checks_read_no_dense_view(monkeypatch):
+    """Every check but the two that serialize or expand the dense matrix runs
+    on the integer form; reading Matrix.rows raises."""
+
+    def dense_view(self):
+        raise AssertionError("dense Fraction view read")
+
+    monkeypatch.setattr(ring.Matrix, "rows", property(dense_view))
+    checks = [c for c in CHECK_IDS if c not in ("chevalley_golden", "charpoly_oracle")]
+    report = run_suite(2, 6, checks=checks)
+    assert [r for r in report.results if r.status == "fail"] == []
+    assert sorted(report.summary) == checks
+
+
+def test_commutativity_check_can_fail(monkeypatch):
+    real = verifier.build_ap
+
+    def mutated(ctx, p):
+        op = real(ctx, p)
+        if ctx.n == 3 and p == 2:  # add 1 to the (0, 0) entry of A_2
+            rows = [list(row) for row in op.rows]
+            rows[0][0] += 1
+            return ring.Operator(ctx, p, rows)
+        return op
+
+    monkeypatch.setattr(verifier, "build_ap", mutated)
+    assert [r.status for r in run_check_cell("commutativity", 2)] == ["pass"]
+    (result,) = run_check_cell("commutativity", 3)
+    assert result.status == "fail"
+    assert result.detail == "operators for degrees 1 and 2 do not commute"
+    ctx = make_context(3)
+    a, b = mutated(ctx, 1), mutated(ctx, 2)
+    assert result.witness == {
+        "p": 1,
+        "r": 2,
+        "ab": serialize.matrix_json(a * b),
+        "ba": serialize.matrix_json(b * a),
+    }
+    assert result.witness["ab"] != result.witness["ba"]
