@@ -292,7 +292,9 @@ def _powers(a1: Matrix) -> tuple[Matrix, ...]:
     return tuple(powers)
 
 
-@lru_cache(maxsize=None)
+# typed: True == 1 and hash(True) == hash(1), so an untyped cache would let
+# build_ap(ctx, True) skip check_index and return A_1.
+@lru_cache(maxsize=None, typed=True)
 def build_ap(ctx: QuadricContext, p: int) -> Operator:
     """The matrix of multiplication by the basis class t_p.
 

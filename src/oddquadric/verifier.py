@@ -377,7 +377,8 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-    cells = [(cid, n) for cid in checks for n in range(n_min, n_max + 1)]
+    # Largest n first, so the slowest cells start first in the pool.
+    cells = [(cid, n) for n in range(n_max, n_min - 1, -1) for cid in checks]
     workers = pool_workers(jobs, len(cells))
     if workers > 1:
         chunks = _run_pool(cells, workers)

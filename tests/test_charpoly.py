@@ -9,6 +9,8 @@ from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddquadric import (
     Matrix,
@@ -119,6 +121,70 @@ class TestClosedFormAgreementSmoke:
             assert charpoly_faddeev(build_ap(ctx, p)) == closed_form_charpoly(ctx, p)
 
 
+def dense_faddeev(rows) -> Poly:
+    """Faddeev-LeVerrier on plain lists of Fractions: the reference for the sparse kernel."""
+    n = len(rows)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = [[sum(row[t] * mk[t][j] for t in range(n)) for j in range(n)] for row in rows]
+        c[n - k] = -sum(prod[i][i] for i in range(n)) / k
+        mk = [[x + (c[n - k] if i == j else 0) for j, x in enumerate(r)] for i, r in enumerate(prod)]
+    return Poly(c)
+
+
+HALF_INTEGERS = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+ENTRIES = st.one_of(HALF_INTEGERS, st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@st.composite
+def sparse_test_matrices(draw):
+    """Square matrices of size <= 7 whose Faddeev rows empty, cancel or fill up.
+
+    A rank-one matrix u v^T has C*M_2 = 0, so every row cancels; a nilpotent
+    shift N + c*I keeps the rows triangular; a selection matrix, one nonzero
+    per row and mostly 1, makes several rows of C*M_k the same M_k row;
+    otherwise each row is zero, dense or sparse.
+    """
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["rank_one", "nilpotent_shift", "selection", "rows"]))
+    if kind == "selection":
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        vals = draw(st.lists(st.sampled_from([1, 1, -1, Fraction(1, 2)]), min_size=n, max_size=n))
+        return Matrix([[vals[i] if j == cols[i] else 0 for j in range(n)] for i in range(n)])
+    if kind == "rank_one":
+        u, v = (draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(2))
+        return Matrix([[a * b for b in v] for a in u])
+    if kind == "nilpotent_shift":
+        c = draw(ENTRIES)
+        return Matrix([[c if i == j else draw(ENTRIES) if j > i else 0 for j in range(n)] for i in range(n)])
+    rows = []
+    for _ in range(n):
+        row_kind = draw(st.sampled_from(["zero", "dense", "sparse"]))
+        if row_kind == "zero":
+            rows.append([0] * n)
+        elif row_kind == "dense":
+            rows.append(draw(st.lists(ENTRIES.filter(bool), min_size=n, max_size=n)))
+        else:
+            rows.append(draw(st.lists(st.one_of(st.just(0), ENTRIES), min_size=n, max_size=n)))
+    return Matrix(rows)
+
+
+class TestSparseRecursion:
+    @settings(max_examples=100, deadline=None)
+    @given(m=sparse_test_matrices())
+    def test_agrees_with_cofactor_and_dense_reference(self, m):
+        f = charpoly_faddeev(m)
+        assert f == charpoly_cofactor(m)
+        assert f == dense_faddeev(m.rows)
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_computed_equals_closed_form_for_every_p(self, n):
+        ctx = make_context(n)
+        for p in range(1, 2 * n):
+            assert charpoly_faddeev(build_ap(ctx, p)) == closed_form_charpoly(ctx, p), p
+
+
 class TestLargeN:
     def test_computed_equals_closed_form_at_n48(self):
         # 95 = 5 * 19 = 2n - 1, so p = 5 and p = 19 have d > 1.
@@ -140,7 +206,7 @@ class SkewedContext(QuadricContext):
 
 
 # Corrupt the trace recursion and the closed form; the guards must catch both.
-charpoly._combine_rows = lambda pairs, rows, n: [1] * n
+charpoly._combine_rows = lambda pairs, rows: dict.fromkeys(range(len(rows)), 1)
 charpoly.X = Poly([0, 2])
 
 cases = [

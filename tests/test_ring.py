@@ -190,6 +190,13 @@ class TestBuildAp:
         with pytest.raises(ValueError):
             build_ap(ctx, -1)
 
+    def test_bool_rejected_after_a_warm_cache(self):
+        # True == 1 and hash(True) == hash(1): an untyped cache would hand back A_1.
+        ctx = make_context(2)
+        build_ap(ctx, 1)
+        with pytest.raises(ValueError):
+            build_ap(ctx, True)
+
 
 class TestRingInvariants:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -54,6 +54,19 @@ def test_results_sorted_and_summary_tallies():
         assert counts["fail"] == sum(1 for r in matching if r.status == "fail")
 
 
+def test_cells_dispatched_largest_n_first(monkeypatch):
+    seen = []
+
+    def record(check_id, n):
+        seen.append((check_id, n))
+        return []
+
+    monkeypatch.setattr(verifier, "run_check_cell", record)
+    run_suite(2, 5, checks=["galkin", "grading"], jobs=1)
+    assert [n for _, n in seen] == [5, 5, 4, 4, 3, 3, 2, 2]
+    assert sorted(seen) == [(c, n) for c in ("galkin", "grading") for n in range(2, 6)]
+
+
 def test_determinism_byte_identical():
     a = serialize.dumps_canonical(serialize.report_json(run_suite(2, 3)))
     b = serialize.dumps_canonical(serialize.report_json(run_suite(2, 3)))
