@@ -273,23 +273,31 @@ def chevalley_column(ctx: QuadricContext, p: int) -> Vector:
 
 @lru_cache(maxsize=None)
 def build_a1(ctx: QuadricContext) -> Operator:
-    """The 2n x 2n matrix of multiplication by the degree-one class."""
+    """The 2n x 2n matrix of multiplication by the degree-one class.
+
+    Column p is chevalley_column(ctx, p); its nonzeros go straight into the
+    integer rows, with no dense transpose.
+    """
     size = ctx.basis_size
-    cols = [chevalley_column(ctx, p) for p in range(size)]
-    return Operator(ctx, 1, [[cols[i][j] for i in range(size)] for j in range(size)])
+    rows = [[] for _ in range(size)]
+    for p in range(size):
+        for i, v in enumerate(chevalley_column(ctx, p)):
+            if v:
+                rows[i].append((p, v))
+    s = lcm(*(v.denominator for row in rows for _, v in row))
+    ints = [[(p, int(v * s)) for p, v in row] for row in rows]
+    return Operator(ctx, 1, Matrix._exact(size, s, ints))
 
 
 @lru_cache(maxsize=None)
-def _powers(a1: Matrix) -> tuple[Matrix, ...]:
-    """A^0, ..., A^(N-1) for the N x N degree-one matrix A, by A^k = A * A^(k-1).
+def _powers(a1: Matrix) -> list[Matrix]:
+    """The powers A^0, A^1, ... of the degree-one matrix A formed so far.
 
-    One loop per context.  The cache is keyed by the matrix, not the context,
-    so the powers always follow the degree-one matrix that build_a1 returns.
+    build_ap extends the list by A^k = A * A^(k-1) only as far as the degree
+    it is asked for.  The cache is keyed by the matrix, not the context, so
+    the powers always follow the degree-one matrix that build_a1 returns.
     """
-    powers = [Matrix.identity(a1.size)]
-    for _ in range(a1.size - 1):
-        powers.append(a1 * powers[-1])
-    return tuple(powers)
+    return [Matrix.identity(a1.size)]
 
 
 # typed: True == 1 and hash(True) == hash(1), so an untyped cache would let
@@ -303,7 +311,11 @@ def build_ap(ctx: QuadricContext, p: int) -> Operator:
     point class is half the top power minus the identity.
     """
     check_index(ctx, p)
-    mat = _powers(build_a1(ctx))[p]
+    a1 = build_a1(ctx)
+    powers = _powers(a1)
+    while len(powers) <= p:
+        powers.append(a1 * powers[-1])
+    mat = powers[p]
     if p >= ctx.n:
         mat = mat.scale(Fraction(1, 2))
     if p == ctx.dim:

@@ -21,12 +21,14 @@ from functools import lru_cache
 from itertools import repeat
 from math import isfinite, prod
 from operator import sub
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .charpoly import charpoly_faddeev
 from .poly import Poly, squarefree_decomposition
 from .ring import QuadricContext, build_a1, build_ap
+
+if TYPE_CHECKING:  # numpy is imported where it is used: only the float checks need it
+    import numpy as np
 
 DIAG_RESIDUAL_TOL = 1e-9     # max-norm of A*P - P*D, up to n = 20
 SHARED_EIGVEC_TOL = 1e-8     # shared-eigenvector residual for the other operators
@@ -143,6 +145,8 @@ def _eigen_selectors(ctx: QuadricContext):
 @lru_cache(maxsize=None)
 def _eigenvector_arrays(ctx: QuadricContext) -> tuple[np.ndarray, ...]:
     """np.array(eigenvector(ctx, j)) for j in _eigen_selectors(ctx), read-only, built once per n."""
+    import numpy as np
+
     arrays = []
     for j in _eigen_selectors(ctx):
         v = np.array(eigenvector(ctx, j))
@@ -157,6 +161,8 @@ def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
     Built from the integer form (1/s) * C: each entry is the correctly rounded
     quotient v / s, the same float as float(Fraction(v, s)).
     """
+    import numpy as np
+
     s, rows = build_ap(ctx, p).int_form()
     a = np.zeros((ctx.basis_size, ctx.basis_size))
     for i, row in enumerate(rows):
@@ -167,6 +173,8 @@ def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
 
 def _pivot_ratio(p: np.ndarray) -> float:
     """min/max pivot magnitude under Gaussian elimination with partial pivoting."""
+    import numpy as np
+
     a = p.astype(complex)
     n = a.shape[0]
     pivots = []
@@ -190,6 +198,8 @@ def verify_diagonalization(ctx: QuadricContext) -> Diagonalization:
     whether P passes the partial-pivoting invertibility test; a failed pivot
     test is reported, never silently passed.
     """
+    import numpy as np
+
     a = operator_as_array(ctx, 1)
     p = np.array(_eigenvector_arrays(ctx)).T
     d = np.diag([operator_eigenvalue(ctx, 1, j) for j in _eigen_selectors(ctx)])

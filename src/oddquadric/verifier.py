@@ -9,13 +9,10 @@ the assembled report is deterministic, including under parallel execution.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from . import serialize
 from .charpoly import (
@@ -219,6 +216,8 @@ def _check_corollary32(n, p):
 
 
 def _check_simultaneous_diag(n, p):
+    import numpy as np
+
     ctx = make_context(n)
     a = operator_as_array(ctx, p)
     worst = 0.0
@@ -342,7 +341,14 @@ def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
     delivered fails with BrokenProcessPool.  Those cells run again one at a
     time, each in a fresh single-worker pool, so only the cell that kills
     its worker is recorded as failed.
+
+    numpy is imported here, before the pool starts, so forked workers inherit
+    it instead of each importing it for the float checks.
     """
+    import concurrent.futures
+
+    import numpy  # noqa: F401
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_cell, cell) for cell in cells]
     chunks = []

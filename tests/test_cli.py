@@ -92,6 +92,8 @@ USAGE_ERRORS = [
     ("spectrum -n 100001 -p 1", "n must be at most 100000 for spectrum, got 100001"),
     ("galkin --n-min 2 --n-max 100001", "n-max must be at most 100000 for galkin, got 100001"),
     ("verify --n-min 2 --n-max 33", "n-max must be at most 32 for verify, got 33"),
+    ("verify --n-min 2 --n-max 2 --jobs 0", "jobs must be at least 1"),
+    ("verify --n-min 2 --n-max 2 --jobs -4", "jobs must be at least 1"),
 ]
 
 
@@ -135,6 +137,15 @@ class TestCharpoly:
             "0", "-64", "0", "0", "48", "0", "0", "-12", "0", "0", "1",
         ]
         assert doc["result"]["match"] is True
+
+    def test_largest_n_json_digest(self, capsys):
+        """The ceiling case, byte for byte: 26,980 bytes, under a second."""
+        code, out = run_cli("charpoly", "-n", "512", "-p", "19", "--format", "json", capsys=capsys)
+        assert code == 0
+        assert len(out.encode()) == 26980
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ea1d594c63e32c3e68dddd6d4f4f99180c47c6948adb952dcd3501ab8bdd85b5"
+        )
 
     def test_csv_shape(self, capsys):
         code, out = run_cli("charpoly", "-n", "2", "-p", "1", "--format", "csv", capsys=capsys)
@@ -315,6 +326,16 @@ class TestVerify:
 
 
 class TestOutFile:
+    def test_empty_out_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["charpoly", "-n", "2", "-p", "1", "--out", ""])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "oddquadric: error: cannot write --out: [Errno 2] No such file or directory: ''"
+        )
+
     def test_out_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code, out = run_cli(

@@ -16,6 +16,7 @@ from oddquadric import (
     make_context,
     star_multiply,
 )
+from oddquadric import ring
 
 # Golden degree-one operator for n=2, entry for entry.
 A1_N2 = (
@@ -50,15 +51,22 @@ def frac_rows(rows):
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
+def reference_a1(ctx):
+    """A_1 as dense rows of Fractions: the transpose of the columns
+    chevalley_column(ctx, i)."""
+    size = ctx.basis_size
+    cols = [chevalley_column(ctx, i) for i in range(size)]
+    return tuple(tuple(cols[i][j] for i in range(size)) for j in range(size))
+
+
 def reference_operators(ctx):
     """Every A_p from plain lists of Fractions, p = 0 .. 2n-1.
 
-    A_1 has chevalley_column(ctx, i) as column i; A_p is its p-th power,
-    halved from the middle degree on, minus the identity at the point class.
+    A_1 is reference_a1(ctx); A_p is its p-th power, halved from the middle
+    degree on, minus the identity at the point class.
     """
     size = ctx.basis_size
-    cols = [chevalley_column(ctx, i) for i in range(size)]
-    a1 = [[cols[i][j] for i in range(size)] for j in range(size)]
+    a1 = reference_a1(ctx)
     identity = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
     power = identity
     for p in range(size):
@@ -167,6 +175,18 @@ class TestBuildAp:
         ctx = make_context(n)
         for p, expected in enumerate(reference_operators(ctx)):
             assert build_ap(ctx, p).rows == expected, f"n={n}, p={p}"
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 64])
+    def test_a1_equals_the_dense_transpose(self, n):
+        ctx = make_context(n)
+        assert build_a1(ctx).rows == reference_a1(ctx)
+
+    def test_powers_formed_only_up_to_the_degree_asked(self):
+        ctx = make_context(512)
+        ring.build_ap.cache_clear()
+        ring._powers.cache_clear()
+        build_ap(ctx, 19)
+        assert len(ring._powers(build_a1(ctx))) == 20  # A^0 .. A^19, not all 1,024
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_at_most_two_nonzeros_per_row_and_column(self, n):
