@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .poly import Poly, X, poly_gcd
-from .ring import Matrix, QuadricContext, check_index
+from .ring import Matrix, QuadricContext, _product_rows, check_index
 
 #: Cofactor expansion is an oracle for small sizes only; it is exponential.
 COFACTOR_DIM_LIMIT = 10
@@ -29,8 +29,8 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     The recursion runs on the integer matrix C = s*M kept by Matrix (for an
     integer matrix all intermediates are integers); the coefficients are then
     rescaled through the identity det(lam*I - C/s) = s^-N det((s*lam)*I - C).
-    M_k and C*M_k are sparse rows {column: value} with no stored zeros: row i
-    of C*M_k merges the rows of M_k that the nonzeros of row i of C select,
+    M_k and C*M_k are sparse rows {column: value} with no stored zeros: the
+    ring's product kernel merges the rows of M_k that each row of C selects,
     the trace reads the diagonal, and c*I touches only the diagonal.  A step
     costs the nonzeros of the selected M_k rows.  For the operators, whose
     M_k are short polynomials in C, that is O(N) per step and O(N^2) per
@@ -42,12 +42,13 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
+    pairs = [tuple(row.items()) for row in a]
     c = [0] * (n + 1)
     c[n] = 1
     mk = [{i: 1} for i in range(n)]
     for k in range(1, n + 1):
         # P = C * M_k; its trace yields the next coefficient, and M_{k+1} = P + c*I.
-        prod = [_combine_rows(pairs, mk) for pairs in a]
+        prod = _product_rows(pairs, mk)
         t = sum(row.get(i, 0) for i, row in enumerate(prod))
         if t % k:
             raise ArithmeticError("trace recursion left a nonintegral coefficient")
@@ -58,19 +59,6 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     if any(mk):
         raise ArithmeticError("trace recursion failed the Cayley-Hamilton identity")
     return Poly.from_ints([c[k] * s**k for k in range(n + 1)], s**n)
-
-
-def _combine_rows(pairs, rows: list[dict[int, int]]) -> dict[int, int]:
-    """The sum of v * rows[t] over the (t, v) pairs, as a sparse row without
-    zeros; a single pair with v = 1 returns rows[t] itself, unchanged."""
-    if len(pairs) == 1:
-        ((t, v),) = pairs
-        return rows[t] if v == 1 else {j: v * y for j, y in rows[t].items()}
-    out: dict[int, int] = {}
-    for t, v in pairs:
-        for j, y in rows[t].items():
-            out[j] = out.get(j, 0) + v * y
-    return {j: x for j, x in out.items() if x}
 
 
 def _shift_diagonal(rows: list[dict[int, int]], c: int) -> list[dict[int, int]]:

@@ -189,7 +189,7 @@ def cmd_verify(report):
 #: name: (command, help, least p for an -n/-p subcommand or None for an n range,
 #: largest n or --n-max accepted or None).  The ceilings hold one run to about
 #: half a minute and 2 GB on a 2-vCPU Xeon: charpoly -n 512 takes 0.5 s at
-#: p = 19 and at most about 4 s near p = 2n - 1, where it forms ~1,000 powers,
+#: p = 19 and at most about 2 s near p = 2n - 1, where it forms ~1,000 powers,
 #: verify grows as n^3.7 and takes about 30 s at --n-max 32, and spectrum and
 #: galkin take 3.4 s and 1.8 s at n = 10^5 (about 25 s and 12 s at 10^6).
 SUBCOMMANDS = {

@@ -19,6 +19,7 @@ entries in the half-integers.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,14 +76,14 @@ class Matrix:
     """Immutable square matrix over exact rationals, stored sparse over the integers.
 
     A matrix is (1/s) * C for a positive integer s and an integer matrix C
-    whose rows hold only their nonzero entries, as (column, value) pairs in
-    column order.  s is the least common denominator of the entries, so the
-    representation is unique and equality and hashing compare it directly.
-    Arithmetic runs on the integer rows; a product costs the number of
-    nonzeros of the left factor times the length of the right factor's rows.
+    whose rows are {column: value} dicts of their nonzero entries.  s is the
+    least common denominator of the entries, so the representation is unique;
+    equality and hashing compare it regardless of the order columns were filled
+    in.  Rows are never mutated, so matrices may share them.  Arithmetic runs
+    on the integer rows, products in _product_rows.
     """
 
-    __slots__ = ("size", "_s", "_pairs")
+    __slots__ = ("size", "_s", "_rows")
 
     def __init__(self, rows):
         rows = [[as_fraction(v) for v in row] for row in rows]
@@ -90,21 +91,20 @@ class Matrix:
             raise ValueError("matrix must be square")
         s = lcm(*(v.denominator for row in rows for v in row))
         ints = [
-            [(j, v.numerator * (s // v.denominator)) for j, v in enumerate(row) if v]
+            {j: v.numerator * (s // v.denominator) for j, v in enumerate(row) if v}
             for row in rows
         ]
         self._set(len(rows), s, ints)
 
     def _set(self, size: int, s: int, rows) -> None:
-        """Store (1/s) * rows in lowest terms; rows are iterables of (column, value)."""
-        rows = [sorted((j, v) for j, v in row if v) for row in rows]
-        g = gcd(s, *(v for row in rows for _, v in row))
+        """Store (1/s) * rows in lowest terms; rows are {column: value} dicts without zeros."""
+        g = gcd(s, *(v for row in rows for v in row.values())) if s > 1 else 1
         if g > 1:
             s //= g
-            rows = [[(j, v // g) for j, v in row] for row in rows]
+            rows = [{j: v // g for j, v in row.items()} for row in rows]
         self.size = size
         self._s = s
-        self._pairs = tuple(tuple(row) for row in rows)
+        self._rows = tuple(rows)
 
     @staticmethod
     def _exact(size: int, s: int, rows) -> "Matrix":
@@ -114,16 +114,16 @@ class Matrix:
 
     @staticmethod
     def identity(size: int) -> "Matrix":
-        return Matrix._exact(size, 1, [[(i, 1)] for i in range(size)])
+        return Matrix._exact(size, 1, [{i: 1} for i in range(size)])
 
     @property
     def rows(self) -> tuple[Vector, ...]:
         """Dense view: every entry as a Fraction, row by row; built on each read."""
         zero, s = Fraction(0), self._s
         out = []
-        for row in self._pairs:
+        for row in self._rows:
             dense = [zero] * self.size
-            for j, v in row:
+            for j, v in row.items():
                 dense[j] = Fraction(v, s)
             out.append(tuple(dense))
         return tuple(out)
@@ -131,19 +131,20 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._s == other._s and self._pairs == other._pairs
+        return self._s == other._s and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._s, self._pairs))
+        return hash((self._s, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def int_form(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    def int_form(self) -> tuple[int, tuple[Mapping[int, int], ...]]:
         """Common denominator s and the rows of the integer matrix s*self, as
-        (column, value) pairs of their nonzero entries."""
-        return self._s, self._pairs
+        {column: value} dicts of their nonzero entries.  The dicts are the
+        matrix's own and may be shared with other matrices: read them only."""
+        return self._s, self._rows
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix) or other.size != self.size:
@@ -151,11 +152,11 @@ class Matrix:
         s = lcm(self._s, other._s)
         fa, fb = s // self._s, s // other._s
         rows = []
-        for ra, rb in zip(self._pairs, other._pairs):
-            acc = {j: fa * v for j, v in ra}
-            for j, v in rb:
+        for ra, rb in zip(self._rows, other._rows):
+            acc = {j: fa * v for j, v in ra.items()}
+            for j, v in rb.items():
                 acc[j] = acc.get(j, 0) - fb * v
-            rows.append(acc.items())
+            rows.append({j: v for j, v in acc.items() if v})
         return Matrix._exact(self.size, s, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -163,8 +164,8 @@ class Matrix:
             return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
-        rows = _product_rows(self._pairs, other._pairs)
-        return Matrix._exact(self.size, self._s * other._s, [row.items() for row in rows])
+        rows = _product_rows([row.items() for row in self._rows], other._rows)
+        return Matrix._exact(self.size, self._s * other._s, rows)
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -181,11 +182,9 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
-        return Matrix._exact(
-            self.size,
-            self._s * c.denominator,
-            [[(j, v * c.numerator) for j, v in row] for row in self._pairs],
-        )
+        x = c.numerator
+        rows = [{j: v * x for j, v in row.items()} if x else {} for row in self._rows]
+        return Matrix._exact(self.size, self._s * c.denominator, rows)
 
     def apply(self, vec) -> Vector:
         """Matrix-vector product, exact.
@@ -199,26 +198,30 @@ class Matrix:
         d = lcm(*(x.denominator for x in vec))
         w = [x.numerator * (d // x.denominator) for x in vec]
         sd = self._s * d
-        return tuple(Fraction(sum(v * w[j] for j, v in row), sd) for row in self._pairs)
+        return tuple(Fraction(sum(v * w[j] for j, v in row.items()), sd) for row in self._rows)
 
 
 def _product_rows(a, b) -> list[dict[int, int]]:
-    """The integer rows of C*D for the integer rows a of C and b of D, as
-    {column: value} dicts.
+    """The package's one sparse product kernel: the integer rows of C*D, as
+    {column: value} dicts without zeros, for rows a of C given as sized
+    iterables of (column, value) pairs and dict rows b of D.
 
-    A dict holds every column its row reaches, so an entry that cancels stays
-    as a 0; Matrix.__mul__ drops those and puts the result in lowest terms.
+    Row i is the sum of x * b[t] over the pairs (t, x) of a[i]; a single pair
+    (t, 1) shares b[t] itself, so no row may ever be mutated.  A product costs
+    the nonzeros of C times the length of the rows of D they select.
     """
     rows = []
     for row in a:
-        acc = {}
+        if len(row) == 1:
+            ((t, x),) = row
+            if x == 1:
+                rows.append(b[t])
+                continue
+        acc: dict[int, int] = {}
         for t, x in row:
-            for j, v in b[t]:
-                if j in acc:
-                    acc[j] += x * v
-                else:
-                    acc[j] = x * v
-        rows.append(acc)
+            for j, v in b[t].items():
+                acc[j] = acc.get(j, 0) + x * v
+        rows.append(acc if all(acc.values()) else {j: v for j, v in acc.items() if v})
     return rows
 
 
@@ -234,7 +237,7 @@ class Operator(Matrix):
 
     def __init__(self, ctx: QuadricContext, p: int, rows):
         if isinstance(rows, Matrix):
-            self.size, self._s, self._pairs = rows.size, rows._s, rows._pairs
+            self.size, self._s, self._rows = rows.size, rows._s, rows._rows
         else:
             super().__init__(rows)
         if self._s > 2:
@@ -279,13 +282,13 @@ def build_a1(ctx: QuadricContext) -> Operator:
     integer rows, with no dense transpose.
     """
     size = ctx.basis_size
-    rows = [[] for _ in range(size)]
+    rows = [{} for _ in range(size)]
     for p in range(size):
         for i, v in enumerate(chevalley_column(ctx, p)):
             if v:
-                rows[i].append((p, v))
-    s = lcm(*(v.denominator for row in rows for _, v in row))
-    ints = [[(p, int(v * s)) for p, v in row] for row in rows]
+                rows[i][p] = v
+    s = lcm(*(v.denominator for row in rows for v in row.values()))
+    ints = [{p: int(v * s) for p, v in row.items()} for row in rows]
     return Operator(ctx, 1, Matrix._exact(size, s, ints))
 
 

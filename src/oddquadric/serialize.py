@@ -57,8 +57,9 @@ def poly_json(f: Poly) -> dict:
 def poly_text(f: Poly, var: str = "λ") -> str:
     """Human rendering, descending by degree: 'λ^4 - 4λ'."""
     terms = []
+    coeffs = f.coeffs
     for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
+        c = coeffs[k]
         if c == 0 and not (k == 0 and not terms):
             continue
         mag = abs(c)

@@ -166,7 +166,7 @@ def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
     s, rows = build_ap(ctx, p).int_form()
     a = np.zeros((ctx.basis_size, ctx.basis_size))
     for i, row in enumerate(rows):
-        for j, v in row:
+        for j, v in row.items():
             a[i, j] = v / s
     return a
 

@@ -162,12 +162,12 @@ def _check_commutativity(n, p):
     ctx = make_context(n)
     ops = [build_ap(ctx, q) for q in range(2 * n)]
     rows = [op.int_form()[1] for op in ops]
+    pairs = [[tuple(row.items()) for row in op_rows] for op_rows in rows]
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
-            # Both products are over s_a * s_b, so equal integer rows decide;
-            # rows that differ may differ only by cancelled zeros, so * decides then.
-            ab, ba = _product_rows(rows[a], rows[b]), _product_rows(rows[b], rows[a])
-            if ab != ba and ops[a] * ops[b] != ops[b] * ops[a]:
+            # Both products are over s_a * s_b and hold no zeros, so they are
+            # equal exactly when their integer rows are.
+            if _product_rows(pairs[a], rows[b]) != _product_rows(pairs[b], rows[a]):
                 return False, f"operators for degrees {a} and {b} do not commute", {
                     "p": a,
                     "r": b,
@@ -182,7 +182,7 @@ def _check_grading(n, p):
     s, rows = build_ap(ctx, p).int_form()
     m = 2 * n - 1
     for j, row in enumerate(rows):
-        for i, v in row:
+        for i, v in row.items():
             if (j - i - p) % m != 0:
                 return False, f"nonzero entry at ({j},{i}) violates degree grading", {
                     "row": j,
@@ -342,12 +342,13 @@ def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
     time, each in a fresh single-worker pool, so only the cell that kills
     its worker is recorded as failed.
 
-    numpy is imported here, before the pool starts, so forked workers inherit
-    it instead of each importing it for the float checks.
+    When a float check is among the cells, numpy is imported here, before the
+    pool starts, so forked workers inherit it instead of each importing it.
     """
     import concurrent.futures
 
-    import numpy  # noqa: F401
+    if any(check_id in ("diagonalization", "simultaneous_diag") for check_id, _ in cells):
+        import numpy  # noqa: F401
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_cell, cell) for cell in cells]

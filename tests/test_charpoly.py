@@ -206,7 +206,7 @@ class SkewedContext(QuadricContext):
 
 
 # Corrupt the trace recursion and the closed form; the guards must catch both.
-charpoly._combine_rows = lambda pairs, rows: dict.fromkeys(range(len(rows)), 1)
+charpoly._product_rows = lambda a, b: [dict.fromkeys(range(len(b)), 1) for _ in a]
 charpoly.X = Poly([0, 2])
 
 cases = [

@@ -147,6 +147,31 @@ class TestCharpoly:
             "ea1d594c63e32c3e68dddd6d4f4f99180c47c6948adb952dcd3501ab8bdd85b5"
         )
 
+    def test_largest_n_text_digest(self, capsys):
+        """The ceiling case in the default text format: 79 bytes, like the JSON under a second."""
+        code, out = run_cli("charpoly", "-n", "512", "-p", "19", capsys=capsys)
+        assert code == 0
+        assert len(out.encode()) == 79
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f194b235ffa1d5be6be8fb6fe3e0b0ce106308597593981da88579c15f4dd52b"
+        )
+
+    def test_text_reads_the_coefficients_once(self):
+        # Each read of Poly.coeffs builds every coefficient afresh, so reading
+        # it once per term makes the rendering quadratic in the degree.
+        from oddquadric import Poly
+
+        class CountingPoly(Poly):
+            reads = 0
+
+            @property
+            def coeffs(self):
+                CountingPoly.reads += 1
+                return super().coeffs
+
+        assert serialize.poly_text(CountingPoly([0, -4, 0, 0, 1])) == "λ^4 - 4λ"
+        assert CountingPoly.reads == 1
+
     def test_csv_shape(self, capsys):
         code, out = run_cli("charpoly", "-n", "2", "-p", "1", "--format", "csv", capsys=capsys)
         assert code == 0

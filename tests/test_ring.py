@@ -12,11 +12,13 @@ from oddquadric import (
     basis_vector,
     build_a1,
     build_ap,
+    charpoly_faddeev,
     chevalley_column,
     make_context,
     star_multiply,
 )
 from oddquadric import ring
+from oddquadric.verifier import run_check_cell
 
 # Golden degree-one operator for n=2, entry for entry.
 A1_N2 = (
@@ -192,9 +194,9 @@ class TestBuildAp:
     def test_at_most_two_nonzeros_per_row_and_column(self, n):
         ctx = make_context(n)
         for p in range(2 * n):
-            _, pairs = build_ap(ctx, p).int_form()
-            assert max(len(row) for row in pairs) <= 2
-            columns = Counter(j for row in pairs for j, _ in row)
+            _, rows = build_ap(ctx, p).int_form()
+            assert max(len(row) for row in rows) <= 2
+            columns = Counter(j for row in rows for j in row)
             assert max(columns.values()) <= 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -216,6 +218,73 @@ class TestBuildAp:
         build_ap(ctx, 1)
         with pytest.raises(ValueError):
             build_ap(ctx, True)
+
+
+# Entries of the row-type tests: zero often, half-integers, and rationals with
+# larger denominators, so that lowest terms and cancellation both occur.
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(lambda k: Fraction(k, 2)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([3, 4, 6])),
+)
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two dense N x N Fraction matrices, N <= 7."""
+    n = draw(st.integers(1, 7))
+    square = st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+    return draw(square), draw(square)
+
+
+def reversed_fill(m):
+    """m again, with every row dict filled in the opposite column order."""
+    s, rows = m.int_form()
+    return Matrix._exact(m.size, s, [dict(reversed(row.items())) for row in rows])
+
+
+def snapshot(m):
+    """The stored rows of m, entries and fill order both."""
+    s, rows = m.int_form()
+    return s, [tuple(row.items()) for row in rows]
+
+
+def assert_represents(got, dense):
+    """got is the matrix of the dense Fraction rows, hash included, with no stored 0."""
+    want = Matrix(dense)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.rows == want.rows
+    assert all(v for row in got.int_form()[1] for v in row.values())
+
+
+class TestRowType:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=dense_pairs())
+    def test_operations_match_the_dense_reference_and_keep_their_operands(self, pair):
+        da, db = pair
+        n = len(da)
+        a, b = Matrix(da), Matrix(db)
+        before = snapshot(a), snapshot(b)
+        product = [[sum((da[i][t] * db[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
+        difference = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
+        assert_represents(a * b, product)
+        assert_represents(reversed_fill(a) * reversed_fill(b), product)
+        assert_represents(a - b, difference)
+        assert_represents(reversed_fill(a) - b, difference)
+        for c in (Fraction(0), Fraction(1, 2), Fraction(-3), db[0][0]):
+            assert_represents(a.scale(c), [[c * x for x in row] for row in da])
+        assert_represents(reversed_fill(a), da)
+        charpoly_faddeev(a)
+        assert (snapshot(a), snapshot(b)) == before
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_commutativity_check_leaves_the_operators_unchanged(self, n):
+        ctx = make_context(n)
+        ops = [build_ap(ctx, p) for p in range(2 * n)]
+        before = [snapshot(op) for op in ops]
+        assert [r.status for r in run_check_cell("commutativity", n)] == ["pass"]
+        assert [snapshot(op) for op in ops] == before
 
 
 class TestRingInvariants:

@@ -11,10 +11,12 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs `import oddquadric`, or cli.main on argv when one is given, and prints
-# the exit code and which of the heavy modules the process then holds.
+# the exit code and which of the heavy modules the process then holds.  The
+# probe reports two CPUs, so that --jobs 2 starts a pool on any machine.
 PROBE = """
-import io, json, sys
+import io, json, os, sys
 from contextlib import redirect_stdout
+os.cpu_count = lambda: 2
 import oddquadric
 code = 0
 if sys.argv[1:]:
@@ -55,3 +57,8 @@ def test_exact_paths_load_neither_numpy_nor_the_pool(argv):
 
 def test_float_checks_load_numpy():
     assert "numpy" in loaded_after("verify", "--n-min", "2", "--n-max", "3", "--jobs", "1")
+
+
+def test_a_pool_of_exact_checks_does_not_load_numpy():
+    argv = ["verify", "--n-min", "2", "--n-max", "3", "--checks", "charpoly_main", "--jobs", "2"]
+    assert loaded_after(*argv) == ["concurrent.futures"]
