@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .poly import Poly, X, poly_gcd
-from .ring import Matrix, QuadricContext, _product_rows, check_index
+from .ring import Matrix, QuadricContext, _product_rows, _shift_diagonal, check_index
 
 #: Cofactor expansion is an oracle for small sizes only; it is exponential.
 COFACTOR_DIM_LIMIT = 10
@@ -31,12 +31,12 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     rescaled through the identity det(lam*I - C/s) = s^-N det((s*lam)*I - C).
     M_k and C*M_k are sparse rows {column: value} with no stored zeros: the
     ring's product kernel merges the rows of M_k that each row of C selects,
-    the trace reads the diagonal, and c*I touches only the diagonal.  A step
-    costs the nonzeros of the selected M_k rows.  For the operators, whose
-    M_k are short polynomials in C, that is O(N) per step and O(N^2) per
-    operator in every case measured (every M_k has at most N + 2 nonzeros for
-    every p at n <= 16 and n in {24, 32, 64}); a dense matrix fills its rows
-    and costs O(N^4).
+    the trace reads the diagonal, and the ring's diagonal-shift kernel adds
+    c*I.  A step costs the nonzeros of the selected M_k rows.  For the
+    operators, whose M_k are short polynomials in C, that is O(N) per step and
+    O(N^2) per operator in every case measured (every M_k has at most N + 2
+    nonzeros for every p at n <= 16 and n in {24, 32, 64}); a dense matrix
+    fills its rows and costs O(N^4).
     """
     s, a = m.int_form()
     n = len(a)
@@ -59,23 +59,6 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     if any(mk):
         raise ArithmeticError("trace recursion failed the Cayley-Hamilton identity")
     return Poly.from_ints([c[k] * s**k for k in range(n + 1)], s**n)
-
-
-def _shift_diagonal(rows: list[dict[int, int]], c: int) -> list[dict[int, int]]:
-    """rows + c*I: each diagonal entry gains c, and a zero is dropped.
-
-    The list is updated in place, but each changed row is a copy, since a row
-    may be shared with the previous M_k.
-    """
-    if c:
-        for i, row in enumerate(rows):
-            row = rows[i] = dict(row)
-            x = row.get(i, 0) + c
-            if x:
-                row[i] = x
-            else:
-                del row[i]
-    return rows
 
 
 def _poly_det(rows: list[list[Poly]]) -> Poly:
@@ -109,22 +92,19 @@ def charpoly_cofactor(m: Matrix) -> Poly:
     return _poly_det(rows)
 
 
+# typed, as for ring.build_ap: an untyped cache would return the p = 1 entry
+# for p = True once it is warm, skipping check_index.
+@lru_cache(maxsize=None, typed=True)
 def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
     """The closed-form characteristic polynomial for degree p, fully expanded.
 
     Rejects p = 0 (the identity operator is outside the closed form).  The
     exponent 2p-(2n-1) in the upper range is positive and divisible by d, so
-    every coefficient is an integer.
+    every coefficient is an integer.  Built once per (ctx, p).
     """
     check_index(ctx, p)
     if p == 0:
         raise ValueError("no closed form for p = 0; use charpoly_faddeev on the identity")
-    return _closed_form(ctx, p)
-
-
-@lru_cache(maxsize=None)
-def _closed_form(ctx: QuadricContext, p: int) -> Poly:
-    """closed_form_charpoly for a validated (ctx, p), built once per pair."""
     n = ctx.n
     if p == 2 * n - 1:
         f = (X - Poly([1])) ** (2 * n - 1) * (X + Poly([1]))

@@ -80,7 +80,8 @@ class Matrix:
     least common denominator of the entries, so the representation is unique;
     equality and hashing compare it regardless of the order columns were filled
     in.  Rows are never mutated, so matrices may share them.  Arithmetic runs
-    on the integer rows, products in _product_rows.
+    on the integer rows; _product_rows and _shift_diagonal are the only code
+    that writes them.
     """
 
     __slots__ = ("size", "_s", "_rows")
@@ -145,19 +146,6 @@ class Matrix:
         {column: value} dicts of their nonzero entries.  The dicts are the
         matrix's own and may be shared with other matrices: read them only."""
         return self._s, self._rows
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix) or other.size != self.size:
-            return NotImplemented
-        s = lcm(self._s, other._s)
-        fa, fb = s // self._s, s // other._s
-        rows = []
-        for ra, rb in zip(self._rows, other._rows):
-            acc = {j: fa * v for j, v in ra.items()}
-            for j, v in rb.items():
-                acc[j] = acc.get(j, 0) - fb * v
-            rows.append({j: v for j, v in acc.items() if v})
-        return Matrix._exact(self.size, s, rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -225,6 +213,24 @@ def _product_rows(a, b) -> list[dict[int, int]]:
     return rows
 
 
+def _shift_diagonal(rows: list[dict[int, int]], c: int) -> list[dict[int, int]]:
+    """The package's one diagonal-shift kernel: rows + c*I for integer rows.
+
+    Each diagonal entry gains c, and a zero is dropped.  The list is updated
+    in place, but each changed row is a copy, since a row may be shared with
+    another matrix.
+    """
+    if c:
+        for i, row in enumerate(rows):
+            row = rows[i] = dict(row)
+            x = row.get(i, 0) + c
+            if x:
+                row[i] = x
+            else:
+                del row[i]
+    return rows
+
+
 class Operator(Matrix):
     """Multiplication-by-t_p matrix, tagged with its context and degree.
 
@@ -252,44 +258,39 @@ def basis_vector(ctx: QuadricContext, p: int) -> Vector:
     return tuple(Fraction(1) if i == p else Fraction(0) for i in range(ctx.basis_size))
 
 
-def chevalley_column(ctx: QuadricContext, p: int) -> Vector:
-    """Coefficients of t_1 * t_p at unit quantum parameter.
+def chevalley_column(ctx: QuadricContext, p: int) -> tuple[tuple[int, int], ...]:
+    """t_1 * t_p at unit quantum parameter, as its (degree, coefficient) pairs.
 
     The product raises degree by one, doubles when crossing the middle
     (p = n-1), and wraps at the top: t_{2n-2} maps to t_{2n-1} + t_0 and the
     point class maps back to t_1.
     """
     check_index(ctx, p)
-    n = ctx.n
-    coeffs = [Fraction(0)] * ctx.basis_size
-    if p == ctx.dim:
-        coeffs[1] = Fraction(1)
-    elif p == ctx.dim - 1:
-        coeffs[ctx.dim] = Fraction(1)
-        coeffs[0] = Fraction(1)
-    elif p == n - 1:
-        coeffs[n] = Fraction(2)
-    else:
-        coeffs[p + 1] = Fraction(1)
-    return tuple(coeffs)
+    dim = ctx.dim
+    if p == dim:
+        return ((1, 1),)
+    if p == dim - 1:
+        return ((0, 1), (dim, 1))
+    if p == ctx.n - 1:
+        return ((ctx.n, 2),)
+    return ((p + 1, 1),)
 
 
 @lru_cache(maxsize=None)
 def build_a1(ctx: QuadricContext) -> Operator:
     """The 2n x 2n matrix of multiplication by the degree-one class.
 
-    Column p is chevalley_column(ctx, p); its nonzeros go straight into the
-    integer rows, with no dense transpose.
+    Column p holds the pairs chevalley_column(ctx, p), which go straight into
+    the integer rows: O(N) work, with no dense column.  Every coefficient must
+    be a nonzero integer; anything else raises ValueError.
     """
-    size = ctx.basis_size
-    rows = [{} for _ in range(size)]
-    for p in range(size):
-        for i, v in enumerate(chevalley_column(ctx, p)):
-            if v:
-                rows[i][p] = v
-    s = lcm(*(v.denominator for row in rows for v in row.values()))
-    ints = [{p: int(v * s) for p, v in row.items()} for row in rows]
-    return Operator(ctx, 1, Matrix._exact(size, s, ints))
+    rows = [{} for _ in range(ctx.basis_size)]
+    for p in range(ctx.basis_size):
+        for i, v in chevalley_column(ctx, p):
+            if not isinstance(v, int) or not v:
+                raise ValueError(f"Chevalley coefficients must be nonzero integers, got {v!r}")
+            rows[i][p] = v
+    return Operator(ctx, 1, Matrix._exact(ctx.basis_size, 1, rows))
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +323,8 @@ def build_ap(ctx: QuadricContext, p: int) -> Operator:
     if p >= ctx.n:
         mat = mat.scale(Fraction(1, 2))
     if p == ctx.dim:
-        mat = mat - Matrix.identity(ctx.basis_size)
+        s, rows = mat.int_form()
+        mat = Matrix._exact(mat.size, s, _shift_diagonal(list(rows), -s))
     return Operator(ctx, p, mat)
 
 

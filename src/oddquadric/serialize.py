@@ -54,7 +54,7 @@ def poly_json(f: Poly) -> dict:
     return {"coeffs_ascending": [frac_str(c) for c in f.coeffs]}
 
 
-def poly_text(f: Poly, var: str = "λ") -> str:
+def poly_text(f: Poly) -> str:
     """Human rendering, descending by degree: 'λ^4 - 4λ'."""
     terms = []
     coeffs = f.coeffs
@@ -67,7 +67,7 @@ def poly_text(f: Poly, var: str = "λ") -> str:
             body = frac_str(mag)
         else:
             head = "" if mag == 1 else frac_str(mag)
-            body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
+            body = f"{head}λ" if k == 1 else f"{head}λ^{k}"
         if not terms:
             terms.append(body if c >= 0 else f"-{body}")
         else:

@@ -104,6 +104,13 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_charpoly(make_context(2), 0)
 
+    def test_bool_rejected_after_a_warm_cache(self):
+        # True == 1 and hash(True) == hash(1): an untyped cache would hand back p = 1.
+        ctx = make_context(2)
+        closed_form_charpoly(ctx, 1)
+        with pytest.raises(ValueError):
+            closed_form_charpoly(ctx, True)
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_integral_monic_degree(self, n):
         ctx = make_context(n)
@@ -197,7 +204,7 @@ INVARIANT_SCRIPT = """
 import sys
 from fractions import Fraction
 
-from oddquadric import Matrix, Operator, Poly, QuadricContext, charpoly, make_context, spectra
+from oddquadric import Matrix, Operator, Poly, QuadricContext, charpoly, make_context, ring, spectra
 
 
 class SkewedContext(QuadricContext):
@@ -205,9 +212,11 @@ class SkewedContext(QuadricContext):
         return 2  # divides no 2n-1, so the multiplicities cannot add up
 
 
-# Corrupt the trace recursion and the closed form; the guards must catch both.
+# Corrupt the trace recursion, the closed form and the degree-one rule; the
+# guards must catch all three.
 charpoly._product_rows = lambda a, b: [dict.fromkeys(range(len(b)), 1) for _ in a]
 charpoly.X = Poly([0, 2])
+ring.chevalley_column = lambda ctx, p: ((p, Fraction(1, 3)),)
 
 cases = [
     ("half-integers", ValueError, lambda: Operator(make_context(2), 1, [[Fraction(1, 3)] * 4] * 4)),
@@ -215,6 +224,7 @@ cases = [
     ("cayley-hamilton", ArithmeticError, lambda: charpoly.charpoly_faddeev(Matrix.identity(2))),
     ("monic", ArithmeticError, lambda: charpoly.closed_form_charpoly(make_context(2), 1)),
     ("multiplicities", ArithmeticError, lambda: spectra.closed_eigenvalues(SkewedContext(3), 1)),
+    ("rule-integers", ValueError, lambda: ring.build_a1(make_context(2))),
 ]
 fired = []
 for name, exc, call in cases:
@@ -234,7 +244,8 @@ def test_invariants_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "1", "half-integers", "integrality", "cayley-hamilton", "monic", "multiplicities"
+        "1", "half-integers", "integrality", "cayley-hamilton", "monic", "multiplicities",
+        "rule-integers",
     ]
 
 

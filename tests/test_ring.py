@@ -1,5 +1,6 @@
 """Ring construction: contexts, the degree-one product rule, operators, star products."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -54,10 +55,13 @@ def frac_rows(rows):
 
 
 def reference_a1(ctx):
-    """A_1 as dense rows of Fractions: the transpose of the columns
-    chevalley_column(ctx, i)."""
+    """A_1 as dense rows of Fractions: the transpose of the columns whose
+    nonzeros are the pairs chevalley_column(ctx, i)."""
     size = ctx.basis_size
-    cols = [chevalley_column(ctx, i) for i in range(size)]
+    cols = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j, v in chevalley_column(ctx, i):
+            cols[i][j] = Fraction(v)
     return tuple(tuple(cols[i][j] for i in range(size)) for j in range(size))
 
 
@@ -113,20 +117,20 @@ class TestContext:
 class TestChevalleyColumn:
     def test_n2_doubling_column(self):
         ctx = make_context(2)
-        assert chevalley_column(ctx, 1) == frac_rows([[0, 0, 2, 0]])[0]
+        assert chevalley_column(ctx, 1) == ((2, 2),)
 
     def test_n2_quantum_wrap_column(self):
         ctx = make_context(2)
-        assert chevalley_column(ctx, 2) == frac_rows([[1, 0, 0, 1]])[0]
+        assert chevalley_column(ctx, 2) == ((0, 1), (3, 1))
 
     def test_unit_column(self):
         ctx = make_context(2)
-        assert chevalley_column(ctx, 0) == basis_vector(ctx, 1)
+        assert chevalley_column(ctx, 0) == ((1, 1),)
 
     def test_point_class_wraps_to_degree_one(self):
         for n in (2, 4, 7):
             ctx = make_context(n)
-            assert chevalley_column(ctx, 2 * n - 1) == basis_vector(ctx, 1)
+            assert chevalley_column(ctx, 2 * n - 1) == ((1, 1),)
 
 
 class TestBuildA1:
@@ -145,6 +149,36 @@ class TestBuildA1:
     def test_entries_in_0_1_2(self, n):
         entries = {v for row in build_a1(make_context(n)).rows for v in row}
         assert entries <= {Fraction(0), Fraction(1), Fraction(2)}
+
+    @pytest.mark.parametrize("coeff", [0, Fraction(1, 3)])
+    def test_rule_coefficients_must_be_nonzero_integers(self, coeff, monkeypatch):
+        # A stored 0 would break the row type's equality, and s = 1 leaves no
+        # denominator check to catch a Fraction.
+        monkeypatch.setattr(ring, "chevalley_column", lambda ctx, p: ((p, coeff),))
+        ring.build_a1.cache_clear()
+        try:
+            with pytest.raises(ValueError):
+                build_a1(make_context(2))
+        finally:
+            ring.build_a1.cache_clear()
+
+    def test_cold_build_is_linear_in_the_basis_size(self):
+        # The rule's 2n + 1 pairs go straight into the rows; a walk over the
+        # (2n)^2 entries of dense columns made about 1.07 million calls here.
+        ctx = make_context(512)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        ring.build_a1.cache_clear()
+        sys.setprofile(count)
+        try:
+            build_a1(ctx)
+        finally:
+            sys.setprofile(None)
+        assert calls < 10 * ctx.basis_size
 
 
 class TestBuildAp:
@@ -267,11 +301,14 @@ class TestRowType:
         a, b = Matrix(da), Matrix(db)
         before = snapshot(a), snapshot(b)
         product = [[sum((da[i][t] * db[t][j] for t in range(n)), Fraction(0)) for j in range(n)] for i in range(n)]
-        difference = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(da, db)]
         assert_represents(a * b, product)
         assert_represents(reversed_fill(a) * reversed_fill(b), product)
-        assert_represents(a - b, difference)
-        assert_represents(reversed_fill(a) - b, difference)
+        s, rows = a.int_form()
+        # c = 0 leaves the rows as they are; -rows[0][0] cancels the entry (0, 0).
+        for c in (0, 1, -s, -rows[0].get(0, 0)):
+            shifted = Matrix._exact(n, s, ring._shift_diagonal(list(rows), c))
+            plus_c = [[x + Fraction(c, s) * (i == j) for j, x in enumerate(r)] for i, r in enumerate(da)]
+            assert_represents(shifted, plus_c)
         for c in (Fraction(0), Fraction(1, 2), Fraction(-3), db[0][0]):
             assert_represents(a.scale(c), [[c * x for x in row] for row in da])
         assert_represents(reversed_fill(a), da)

@@ -3,7 +3,6 @@
 import multiprocessing
 import os
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -132,21 +131,17 @@ def _literal_rule_column(ctx, p):
     wins, dropping the quantum wrap term.
     """
     n = ctx.n
-    coeffs = [Fraction(0)] * ctx.basis_size
     if p == 0:
-        coeffs[1] = Fraction(1)
-    elif 1 <= p <= n - 1:
-        coeffs[p + 1] = Fraction(1)
-    elif p == n:
-        coeffs[n + 1] = Fraction(2)
-    elif p <= 2 * n - 3:
-        coeffs[p + 1] = Fraction(1)
-    elif p == 2 * n - 2:
-        coeffs[2 * n - 1] = Fraction(1)
-        coeffs[0] = Fraction(1)
-    else:
-        coeffs[1] = Fraction(1)
-    return tuple(coeffs)
+        return ((1, 1),)
+    if 1 <= p <= n - 1:
+        return ((p + 1, 1),)
+    if p == n:
+        return ((n + 1, 2),)
+    if p <= 2 * n - 3:
+        return ((p + 1, 1),)
+    if p == 2 * n - 2:
+        return ((0, 1), (2 * n - 1, 1))
+    return ((1, 1),)
 
 
 class TestMutationProbe:
