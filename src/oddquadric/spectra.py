@@ -18,9 +18,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from math import isfinite, prod
-from operator import sub
+from math import isfinite
+from operator import sub, truediv
 from typing import TYPE_CHECKING
 
 from .charpoly import charpoly_faddeev
@@ -255,16 +254,29 @@ def durand_kerner(coeffs, max_iter: int = DK_MAX_ITER) -> list[complex]:
     Bit-identity contract: every root is bit for bit the one of the plain
     loop kept in tests/test_spectra.py, which evaluates Horner's rule
     val = val*x + c over all coefficients and the denominator as 1+0j times
-    x - y over the other points in index order.  math.prod runs the same
-    IEEE operations in the same order in C.  The one operation left out, the
-    addition of a zero coefficient, can only change the sign of a zero
+    x - y over the other points in index order.  The one operation left out,
+    the addition of a zero coefficient, can only change the sign of a zero
     component: the next nonzero real coefficient erases it, and after the
     last one it reaches only the sign of a zero step, which x - step and
     abs(step) do not see (no iterate has a -0.0 component).  The contract
     exists because verify prints ulp-level residuals of these roots
     (fpdim_consistency "(2.220e-16)", the galkin cross-check "3.553e-15"), so
     a single changed bit would change its byte-identical report.
+
+    The O(deg^2) products of a sweep run in numpy, for all points at once.
+    For each point, a Horner run and the denominator are each one row of a
+    C-contiguous array that starts with the running value (1+0j for the
+    denominator), and np.multiply.reduce along the row multiplies left to
+    right with the same formula as CPython's complex `*`.  The differences
+    x - y and the added coefficients are single IEEE subtractions and
+    additions, the same in both.  The quotient val / den, abs, the point
+    update and both tests stay in Python: numpy's elementwise complex `*` may
+    use fused multiply-adds and its `/` a scaled quotient, which round
+    differently.  TestNumpyRoundingContract in tests/test_spectra.py pins the
+    two numpy assumptions by name.
     """
+    import numpy as np
+
     coeffs = [complex(c) for c in coeffs]
     deg = len(coeffs) - 1
     if deg < 1:
@@ -280,26 +292,40 @@ def durand_kerner(coeffs, max_iter: int = DK_MAX_ITER) -> list[complex]:
         if coeffs[j]:
             runs.append((tail - j, coeffs[j]))
             tail = j
-    lead = coeffs[-1]
+
+    def times_power(val, x, k):
+        """val * x**k for every point, as k products left to right along a row."""
+        w = np.empty((deg, k + 1), complex)
+        w[:, 0] = val
+        w[:, 1:] = x[:, None]
+        return np.multiply.reduce(w, axis=1)
+
+    # Row i of den: 1+0j, then x_i - x_j for j != i in index order.
+    den = np.empty((deg, deg), complex)
+    den[:, 0] = 1
+    off_diagonal = ~np.eye(deg, dtype=bool)
     radius = _initial_radius(coeffs)
     pts = [radius * cmath.exp(1j * (2 * cmath.pi * k / deg + 0.4)) for k in range(deg)]
     delta = float("inf")
-    for _ in range(max_iter):
-        steps = []
-        for i, x in enumerate(pts):
-            val = lead
+    # An overflow is reported by the finite test below, not as a numpy warning.
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            x = np.array(pts)
+            val = coeffs[-1]
             for k, c in runs:
-                val = prod(repeat(x, k), start=val) + c
-            val = prod(repeat(x, tail), start=val)
-            steps.append(val / prod(map(sub, repeat(x), pts[:i] + pts[i + 1 :]), start=1 + 0j))
-        pts = list(map(sub, pts, steps))
-        sizes = list(map(abs, steps))
-        # max() drops a NaN unless it comes first, so this test precedes the convergence test.
-        if not all(map(isfinite, sizes)):
-            raise RootFindingError("root iteration overflowed: an update is not finite")
-        delta = max(sizes)
-        if delta < DK_TOL:
-            return pts
+                val = times_power(val, x, k) + c
+            if tail:
+                val = times_power(val, x, tail)
+            den[:, 1:] = np.subtract(x[:, None], x[None, :])[off_diagonal].reshape(deg, deg - 1)
+            steps = list(map(truediv, val.tolist(), np.multiply.reduce(den, axis=1).tolist()))
+            pts = list(map(sub, pts, steps))
+            sizes = list(map(abs, steps))
+            # max() drops a NaN unless it comes first, so this test precedes the convergence test.
+            if not all(map(isfinite, sizes)):
+                raise RootFindingError("root iteration overflowed: an update is not finite")
+            delta = max(sizes)
+            if delta < DK_TOL:
+                return pts
     raise RootFindingError(
         f"root iteration did not converge within {max_iter} sweeps (last update {delta:.3e})"
     )

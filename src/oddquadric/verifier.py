@@ -26,6 +26,7 @@ from .poly import Poly
 from .ring import Matrix, _product_rows, basis_vector, build_a1, build_ap, make_context
 from .spectra import (
     DIAG_RESIDUAL_TOL,
+    GALKIN_CROSSCHECK_MAX_N,
     ROOT_MATCH_TOL,
     SHARED_EIGVEC_TOL,
     _eigen_selectors,
@@ -159,21 +160,38 @@ def _check_unit_column(n, p):
 
 
 def _check_commutativity(n, p):
+    # A matrix that commutes with a cyclic one is a polynomial in it (Horn and
+    # Johnson, Matrix Analysis, 2nd ed., Thm 3.2.4.2), and polynomials in one
+    # matrix commute.  So if t_0 is a cyclic vector of A_1 and every A_q
+    # commutes with A_1, all operator pairs commute: O(N^2) work in place of
+    # multiplying all N(N-1)/2 pairs.
     ctx = make_context(n)
     ops = [build_ap(ctx, q) for q in range(2 * n)]
     rows = [op.int_form()[1] for op in ops]
+    s1 = ops[1].int_form()[0]
+    # Krylov basis: (s1 * A_1)^k t_0 must have its last nonzero at degree k for
+    # every k < 2n (t_k, then 2t_k, then 2(t_{2n-1} + t_0)); a triangular
+    # basis with a nonzero diagonal spans the whole space.
+    krylov = [1] + [0] * (2 * n - 1)
+    for k in range(2 * n):
+        if max((i for i, v in enumerate(krylov) if v), default=-1) != k:
+            return False, "t_0 is not a cyclic vector of the degree-one operator", {
+                "k": k,
+                "krylov": serialize.vector_json(Fraction(v, s1**k) for v in krylov),
+            }
+        krylov = [sum(v * krylov[j] for j, v in row.items()) for row in rows[1]]
     pairs = [[tuple(row.items()) for row in op_rows] for op_rows in rows]
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            # Both products are over s_a * s_b and hold no zeros, so they are
-            # equal exactly when their integer rows are.
-            if _product_rows(pairs[a], rows[b]) != _product_rows(pairs[b], rows[a]):
-                return False, f"operators for degrees {a} and {b} do not commute", {
-                    "p": a,
-                    "r": b,
-                    "ab": serialize.matrix_json(ops[a] * ops[b]),
-                    "ba": serialize.matrix_json(ops[b] * ops[a]),
-                }
+    for q in [0] + list(range(2, 2 * n)):
+        a, b = sorted((q, 1))
+        # Both products are over s_a * s_b and hold no zeros, so they are
+        # equal exactly when their integer rows are.
+        if _product_rows(pairs[a], rows[b]) != _product_rows(pairs[b], rows[a]):
+            return False, f"operators for degrees {a} and {b} do not commute", {
+                "p": a,
+                "r": b,
+                "ab": serialize.matrix_json(ops[a] * ops[b]),
+                "ba": serialize.matrix_json(ops[b] * ops[a]),
+            }
     return True, "all operator pairs commute exactly", None
 
 
@@ -342,12 +360,17 @@ def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
     time, each in a fresh single-worker pool, so only the cell that kills
     its worker is recorded as failed.
 
-    When a float check is among the cells, numpy is imported here, before the
-    pool starts, so forked workers inherit it instead of each importing it.
+    When a cell uses numpy (a float check, or root finding), numpy is
+    imported here, before the pool starts, so forked workers inherit it
+    instead of each importing it.
     """
     import concurrent.futures
 
-    if any(check_id in ("diagonalization", "simultaneous_diag") for check_id, _ in cells):
+    if any(
+        check_id in ("diagonalization", "simultaneous_diag", "fpdim_consistency")
+        or (check_id == "galkin" and n <= GALKIN_CROSSCHECK_MAX_N)
+        for check_id, n in cells
+    ):
         import numpy  # noqa: F401
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -384,3 +384,53 @@ class TestDurandKernerBitIdentity:
         assert _outcome(durand_kerner, coeffs, max_iter=1) == _outcome(
             reference_durand_kerner, coeffs, max_iter=1
         )
+
+
+def _random_complex(rng, size):
+    """Complex values with both parts nonzero and magnitudes over six decades."""
+    scale = 10.0 ** rng.uniform(-3, 3, size=(2,) + size)
+    return rng.standard_normal(size) * scale[0] + 1j * rng.standard_normal(size) * scale[1]
+
+
+class TestNumpyRoundingContract:
+    """The two numpy operations durand_kerner relies on round like CPython.
+
+    A numpy build or CPU that breaks either fails here by name, before the
+    reference comparisons below show only that some root bits moved.
+    """
+
+    @pytest.mark.parametrize("first", ["one", "value"])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (63, 64), (127, 2), (20, 128)])
+    def test_multiply_reduce_matches_python_products(self, shape, first):
+        rng = np.random.default_rng([sum(shape), len(first)])
+        w = _random_complex(rng, shape)
+        if first == "one":
+            w[:, 0] = 1
+        assert w.flags.c_contiguous
+        got = np.multiply.reduce(w, axis=1)
+        want = np.array([math.prod(row[1:], start=row[0]) for row in w.tolist()])
+        assert got.tobytes() == want.tobytes(), (
+            "np.multiply.reduce along a row does not round like CPython's complex *"
+        )
+
+    @pytest.mark.parametrize("size", [2, 5, 64, 127])
+    def test_subtract_matches_python_differences(self, size):
+        rng = np.random.default_rng(size)
+        x = _random_complex(rng, (size,))
+        got = np.subtract(x[:, None], x[None, :])
+        pts = x.tolist()
+        want = np.array([[a - b for b in pts] for a in pts])
+        assert got.tobytes() == want.tobytes(), (
+            "numpy's complex subtraction does not round like CPython's complex -"
+        )
+
+
+class TestDurandKernerBinomials:
+    """x^m - 4 and x^m - 2 for every odd m up to 63, including the slow
+    degrees 23, 39, 41, 53 and 55, match the plain loop bit for bit."""
+
+    @pytest.mark.parametrize("c", [4, 2])
+    @pytest.mark.parametrize("m", range(3, 64, 2))
+    def test_binomial(self, m, c):
+        coeffs = [complex(-c)] + [0j] * (m - 1) + [1 + 0j]
+        assert _outcome(durand_kerner, coeffs) == _outcome(reference_durand_kerner, coeffs)

@@ -46,7 +46,7 @@ def loaded_after(*argv):
         ["charpoly", "-n", "5", "-p", "3"],
         ["spectrum", "-n", "5", "-p", "3"],
         ["fpdim", "-n", "5", "-p", "3"],
-        ["galkin", "--n-min", "2", "--n-max", "5"],
+        ["galkin", "--n-min", "13", "--n-max", "15"],
         ["verify", "--n-min", "2", "--n-max", "3", "--checks", "charpoly_main", "--jobs", "1"],
     ],
     ids=lambda argv: " ".join(argv) or "import",
@@ -57,6 +57,16 @@ def test_exact_paths_load_neither_numpy_nor_the_pool(argv):
 
 def test_float_checks_load_numpy():
     assert "numpy" in loaded_after("verify", "--n-min", "2", "--n-max", "3", "--jobs", "1")
+
+
+def test_the_galkin_root_cross_check_loads_numpy():
+    """galkin cross-checks n <= 12 against located roots, and root finding runs in numpy."""
+    assert loaded_after("galkin", "--n-min", "2", "--n-max", "5") == ["numpy"]
+
+
+def test_a_pool_of_root_finding_cells_loads_numpy_before_it_forks():
+    argv = ["verify", "--n-min", "2", "--n-max", "3", "--checks", "fpdim_consistency", "--jobs", "2"]
+    assert loaded_after(*argv) == ["concurrent.futures", "numpy"]
 
 
 def test_a_pool_of_exact_checks_does_not_load_numpy():

@@ -325,3 +325,43 @@ def test_commutativity_check_can_fail(monkeypatch):
         "ba": serialize.matrix_json(b * a),
     }
     assert result.witness["ab"] != result.witness["ba"]
+
+
+def test_commutativity_needs_a_cyclic_degree_one_operator(monkeypatch):
+    """With A_1 = I every operator commutes with A_1, yet A_2 and A_3 need not
+    commute with each other; the cyclic-vector test is what catches it."""
+    real = verifier.build_ap
+
+    def mutated(ctx, p):
+        op = real(ctx, p)
+        if ctx.n == 3 and p in (1, 2):
+            rows = [list(row) for row in (ring.Matrix.identity(6) if p == 1 else op).rows]
+            rows[0][0] += p - 1  # A_2 gains 1 at (0, 0), as in the test above
+            return ring.Operator(ctx, p, rows)
+        return op
+
+    monkeypatch.setattr(verifier, "build_ap", mutated)
+    ctx = make_context(3)
+    ops = [mutated(ctx, q) for q in range(6)]
+    assert all(ops[1] * op == op * ops[1] for op in ops)
+    assert ops[2] * ops[3] != ops[3] * ops[2]
+    assert [r.status for r in run_check_cell("commutativity", 2)] == ["pass"]
+    (result,) = run_check_cell("commutativity", 3)
+    assert result.status == "fail"
+    assert result.detail == "t_0 is not a cyclic vector of the degree-one operator"
+    assert result.witness == {"k": 1, "krylov": ["1", "0", "0", "0", "0", "0"]}
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_degree_one_krylov_basis(n):
+    """A_1^k t_0 is t_k below the middle, 2 t_k up to 2n - 2, and
+    2 (t_{2n-1} + t_0) at the top: the triangular basis the check relies on."""
+    ctx = make_context(n)
+    vec = ring.basis_vector(ctx, 0)
+    for k in range(2 * n):
+        want = [0] * (2 * n)
+        want[k] = 1 if k < n else 2
+        if k == 2 * n - 1:
+            want[0] = 2
+        assert list(vec) == want
+        vec = ring.build_a1(ctx).apply(vec)
