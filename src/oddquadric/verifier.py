@@ -34,7 +34,7 @@ from .spectra import (
     corollary_32_check,
     fp_dim,
     galkin_check,
-    max_root_modulus,
+    located_radius,
     operator_as_array,
     operator_eigenvalue,
     verify_diagonalization,
@@ -252,7 +252,7 @@ def _check_simultaneous_diag(n, p):
 def _check_fpdim_consistency(n, p):
     ctx = make_context(n)
     closed = fp_dim(ctx, p)
-    located = max_root_modulus(closed_form_charpoly(ctx, p))
+    located = located_radius(ctx, p)
     err = abs(closed - located)
     if err <= ROOT_MATCH_TOL:
         return True, f"closed form and located spectral radius agree ({err:.3e})", None
@@ -335,8 +335,9 @@ def run_check_cell(check_id: str, n: int) -> list[CheckResult]:
     return results
 
 
-def _run_cell(args):
-    return run_check_cell(*args)
+def _run_task(cells):
+    """The results of each of the cells, in one worker."""
+    return [run_check_cell(*cell) for cell in cells]
 
 
 def _cell_failures(cell, exc: BaseException) -> list[CheckResult]:
@@ -352,13 +353,30 @@ def pool_workers(jobs: int, cells: int) -> int:
     return max(1, min(jobs, cells, os.cpu_count() or 1))
 
 
-def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
-    """The results of each cell, run in a pool of `workers` processes.
+def pool_tasks(cells, workers: int) -> list[list]:
+    """The cells grouped into pool tasks, in the order of cells.
 
-    A worker that dies breaks the whole pool, and every cell it has not
-    delivered fails with BrokenProcessPool.  Those cells run again one at a
-    time, each in a fresh single-worker pool, so only the cell that kills
-    its worker is recorded as failed.
+    One task holds every cell at one n, so the worker that builds an n's
+    operators and closed forms runs all of its checks on them.  With fewer
+    n values than workers, each cell is a task of its own, so that a run at
+    a single n still spreads over the workers.
+    """
+    by_n: dict[int, list] = {}
+    for cell in cells:
+        by_n.setdefault(cell[1], []).append(cell)
+    if len(by_n) < workers:
+        return [[cell] for cell in cells]
+    return list(by_n.values())
+
+
+def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
+    """The results of each cell, run as the tasks of pool_tasks in a pool of
+    `workers` processes.
+
+    A worker that dies breaks the whole pool, and every task it has not
+    delivered fails with BrokenProcessPool.  The cells of those tasks run
+    again one at a time, each in a fresh single-worker pool, so only the cell
+    that kills its worker is recorded as failed.
 
     When a cell uses numpy (a float check, or root finding), numpy is
     imported here, before the pool starts, so forked workers inherit it
@@ -373,17 +391,19 @@ def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
     ):
         import numpy  # noqa: F401
 
+    tasks = pool_tasks(cells, workers)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_cell, cell) for cell in cells]
+        futures = [pool.submit(_run_task, task) for task in tasks]
     chunks = []
-    for cell, future in zip(cells, futures):
+    for task, future in zip(tasks, futures):
         exc = future.exception()
         if exc is None:
-            chunks.append(future.result())
+            chunks += future.result()
         elif isinstance(exc, concurrent.futures.BrokenExecutor) and len(cells) > 1:
-            chunks += _run_pool([cell], 1)
+            for cell in task:
+                chunks += _run_pool([cell], 1)
         else:  # never abort the sweep
-            chunks.append(_cell_failures(cell, exc))
+            chunks += [_cell_failures(cell, exc) for cell in task]
     return chunks
 
 
@@ -394,8 +414,8 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     admit in the range; they are sorted by (check_id, n, p) and the summary
     tallies pass/fail per check.  checks=None runs every check; an empty list
     raises ValueError rather than pass vacuously.  With jobs > 1 the (check, n)
-    cells run in pool_workers(jobs, cells) processes.  Output is deterministic
-    regardless of jobs.
+    cells run in pool_workers(jobs, cells) processes, one task per n (see
+    pool_tasks).  Output is deterministic regardless of jobs.
     """
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -407,7 +427,7 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
-    # Largest n first, so the slowest cells start first in the pool.
+    # Largest n first, so the slowest tasks start first in the pool.
     cells = [(cid, n) for n in range(n_max, n_min - 1, -1) for cid in checks]
     workers = pool_workers(jobs, len(cells))
     if workers > 1:

@@ -416,6 +416,14 @@ class TestDeterminism:
         assert outs[0]
         assert all(o == outs[0] for o in outs)
 
+    def test_a_single_n_is_byte_identical_across_jobs(self, capsys, monkeypatch):
+        """At one n the pool runs one task per cell, in two workers."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU machine
+        args = ["verify", "--n-min", "12", "--n-max", "12", "--format", "json", "--jobs"]
+        pooled = run_cli(*args, "2", capsys=capsys)
+        assert pooled[0] == 0
+        assert pooled == run_cli(*args, "1", capsys=capsys)
+
 
 def _traced_peak(fn, *args):
     """Peak traced memory of fn(*args), in bytes."""

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oddquadric import (
@@ -37,8 +37,10 @@ from oddquadric.spectra import (
     DK_TOL,
     _eigen_selectors,
     _eigenvector_arrays,
+    _horner_runs,
     _initial_radius,
     durand_kerner,
+    durand_kerner_batch,
     operator_as_array,
 )
 
@@ -356,13 +358,28 @@ def monic_with_zero_runs(draw):
     return [complex(c) for c in coeffs[:deg]] + [1 + 0j]
 
 
+def _batch_outcomes(polys, **kw):
+    """_outcome of each polynomial, from one durand_kerner_batch over all of them."""
+    return [
+        str(r) if isinstance(r, RootFindingError) else [(z.real.hex(), z.imag.hex()) for z in r]
+        for r in durand_kerner_batch(polys, **kw)
+    ]
+
+
 class TestDurandKernerBitIdentity:
     @pytest.mark.parametrize("n", range(2, 21))
     def test_closed_form_factors(self, n):
+        """Each factor alone and in one batch per shape, as verify's
+        fpdim_consistency finds them, against the plain loop."""
         ctx = make_context(n)
+        shapes = {}
         for p in range(1, 2 * n):
             for coeffs in _nonlinear_factors(closed_form_charpoly(ctx, p)):
-                assert _outcome(durand_kerner, coeffs) == _outcome(reference_durand_kerner, coeffs)
+                want = _outcome(reference_durand_kerner, coeffs)
+                assert _outcome(durand_kerner, coeffs) == want
+                shapes.setdefault(_horner_runs(coeffs), []).append((coeffs, want))
+        for batch in shapes.values():
+            assert _batch_outcomes([c for c, _ in batch]) == [want for _, want in batch]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_galkin_polynomials(self, n):
@@ -378,6 +395,42 @@ class TestDurandKernerBitIdentity:
         assert _outcome(durand_kerner, coeffs, max_iter=80) == _outcome(
             reference_durand_kerner, coeffs, max_iter=80
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batches_of_one_shape(self, data):
+        """2-6 polynomials with one zero pattern, among them one that hits
+        max_iter and one that overflows: each outcome is the one it has alone,
+        and, short of the overflow, the plain loop's."""
+        pattern = data.draw(monic_with_zero_runs())
+        deg = len(pattern) - 1
+        nonzero = st.fractions(-9, 9, max_denominator=4).filter(bool)
+
+        def on_pattern(scale=1.0):
+            """Random coefficients on the pattern, with roots scaled by `scale`."""
+            return [
+                complex(data.draw(nonzero)) * scale ** (deg - j) if c else 0j
+                for j, c in enumerate(pattern[:-1])
+            ] + [1 + 0j]
+
+        # Roots near 10^6 are 10^-10 apart as doubles, too far apart for
+        # DK_TOL; coefficients of 10^308 overflow the first sweep.
+        stalls = on_pattern(1e6)
+        overflows = [1e308 if c else 0j for c in pattern[:-1]] + [1 + 0j]
+        assume("did not converge" in str(_outcome(durand_kerner, stalls, max_iter=80)))
+        assume("overflowed" in str(_outcome(durand_kerner, overflows, max_iter=80)))
+        polys = [on_pattern() for _ in range(data.draw(st.integers(0, 4)))]
+        for extra in (stalls, overflows):
+            polys.insert(data.draw(st.integers(0, len(polys))), extra)
+        got = _batch_outcomes(polys, max_iter=80)
+        assert got == [_outcome(durand_kerner, c, max_iter=80) for c in polys]
+        for coeffs, outcome in zip(polys, got):
+            if coeffs is not overflows:  # the plain loop has no overflow test
+                assert outcome == _outcome(reference_durand_kerner, coeffs, max_iter=80)
+
+    def test_a_batch_rejects_two_shapes(self):
+        with pytest.raises(ValueError, match="one shape"):
+            durand_kerner_batch([[-4, 0, 1], [-4, 1, 1]])
 
     def test_nonconvergence_message_matches(self):
         coeffs = [complex(-4), 0j, 0j, complex(1)]
@@ -399,13 +452,15 @@ class TestNumpyRoundingContract:
     reference comparisons below show only that some root bits moved.
     """
 
-    @pytest.mark.parametrize("first", ["one", "value"])
+    @pytest.mark.parametrize("first", ["one", "two ones", "value"])
     @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (63, 64), (127, 2), (20, 128)])
     def test_multiply_reduce_matches_python_products(self, shape, first):
         rng = np.random.default_rng([sum(shape), len(first)])
         w = _random_complex(rng, shape)
         if first == "one":
             w[:, 0] = 1
+        if first == "two ones":  # a batch's padded rows
+            w[:, :2] = 1
         assert w.flags.c_contiguous
         got = np.multiply.reduce(w, axis=1)
         want = np.array([math.prod(row[1:], start=row[0]) for row in w.tolist()])

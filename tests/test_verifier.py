@@ -1,5 +1,6 @@
 """Verifier suite: determinism, completeness, witnesses, and the mutation probe."""
 
+import concurrent.futures
 import multiprocessing
 import os
 import time
@@ -7,9 +8,18 @@ import time
 import numpy as np
 import pytest
 
-from oddquadric import CHECK_IDS, eigenvector, make_context, operator_eigenvalue, run_suite
+from oddquadric import (
+    CHECK_IDS,
+    Poly,
+    closed_form_charpoly,
+    eigenvector,
+    make_context,
+    operator_eigenvalue,
+    run_suite,
+    squarefree_decomposition,
+)
 from oddquadric import ring, serialize, spectra, verifier
-from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_workers, run_check_cell
+from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_tasks, pool_workers, run_check_cell
 
 EXPECTED_CASE_COUNTS_2_TO_4 = {
     "chevalley_golden": 1,
@@ -365,3 +375,111 @@ def test_degree_one_krylov_basis(n):
             want[0] = 2
         assert list(vec) == want
         vec = ring.build_a1(ctx).apply(vec)
+
+
+@pytest.fixture
+def cold_radii():
+    """An empty per-n cache of located radii before and after the test."""
+    spectra._located_radii.cache_clear()
+    yield
+    spectra._located_radii.cache_clear()
+
+
+def _factor(n, p):
+    """The nonlinear squarefree factor of p's closed form (n = 5: x^9 - 2^e)."""
+    _, g = closed_form_charpoly(make_context(n), p).strip_zero_roots()
+    ((factor, _),) = squarefree_decomposition(g)
+    return [complex(c) for c in factor.coeffs]
+
+
+def test_fpdim_consistency_fails_on_moved_roots(monkeypatch, cold_radii):
+    """Moving the roots of one p outward by 1e-6 fails that p and no other."""
+    real = spectra.durand_kerner_batch
+    target = _factor(5, 2)
+
+    def moved(polys, *args):
+        outcomes = real(polys, *args)
+        return [
+            [r * (1 + 1e-6 / abs(r)) for r in roots] if coeffs == target else roots
+            for coeffs, roots in zip(polys, outcomes)
+        ]
+
+    monkeypatch.setattr(spectra, "durand_kerner_batch", moved)
+    results = run_check_cell("fpdim_consistency", 5)
+    assert [r.p for r in results if r.status == "fail"] == [2]
+    assert results[1].detail.startswith("spectral radius mismatch 1.0")
+    assert set(results[1].witness) == {"closed_form", "max_root_modulus"}
+
+
+def test_fpdim_consistency_fails_only_the_p_whose_roots_failed(monkeypatch, cold_radii):
+    """p = 2 gets x^9 + 10^308, which overflows inside a batch with the other
+    x^9 - 2^e; only p = 2 fails, with its own RootFindingError."""
+    real_closed, real_batch = spectra.closed_form_charpoly, spectra.durand_kerner_batch
+    batches = []
+
+    def closed(ctx, p):
+        if (ctx.n, p) == (5, 2):
+            return Poly([0, 10**308] + [0] * 8 + [1])
+        return real_closed(ctx, p)
+
+    def recorded(polys, *args):
+        batches.append(len(polys))
+        return real_batch(polys, *args)
+
+    monkeypatch.setattr(spectra, "closed_form_charpoly", closed)
+    monkeypatch.setattr(spectra, "durand_kerner_batch", recorded)
+    results = run_check_cell("fpdim_consistency", 5)
+    assert [(r.p, r.status) for r in results] == [(p, "fail" if p == 2 else "pass") for p in range(1, 10)]
+    assert results[1].detail == (
+        "check raised RootFindingError: root iteration overflowed: an update is not finite"
+    )
+    assert max(batches) > 1 and len(batches) < 9  # p = 2 shared a batch
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records each submitted task and
+    runs it in this process."""
+
+    tasks: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, task):
+        RecordingPool.tasks.append(task)
+        future = concurrent.futures.Future()
+        future.set_result(fn(task))
+        return future
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.tasks = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return RecordingPool.tasks
+
+
+def test_a_multi_n_range_is_one_task_per_n(recording_pool):
+    report = run_suite(2, 4, checks=["galkin", "grading", "unit_column"], jobs=2)
+    assert recording_pool == [
+        [("galkin", n), ("grading", n), ("unit_column", n)] for n in (4, 3, 2)
+    ]
+    assert report.all_passed and len(report.results) == 3 + 12 + 18
+
+
+def test_a_single_n_is_one_task_per_cell(recording_pool):
+    run_suite(3, 3, checks=["galkin", "grading", "unit_column"], jobs=2)
+    assert recording_pool == [[("galkin", 3)], [("grading", 3)], [("unit_column", 3)]]
+
+
+def test_pool_tasks_split_by_n_only_with_an_n_per_worker():
+    cells = [(c, n) for n in (5, 4) for c in ("a", "b")]
+    assert pool_tasks(cells, 2) == [[("a", 5), ("b", 5)], [("a", 4), ("b", 4)]]
+    assert pool_tasks(cells, 3) == [[cell] for cell in cells]
