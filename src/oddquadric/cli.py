@@ -223,10 +223,10 @@ def main(argv=None) -> int:
             parser.error(f"p must be in [{p_min}, {ctx.dim}] for n={ctx.n}, got {args.p}")
         inputs, params = (ctx, args.p), {"n": ctx.n, "p": args.p}
     else:
+        if not 2 <= args.n_min <= args.n_max:
+            parser.error(f"need 2 <= n-min <= n-max, got [{args.n_min}, {args.n_max}]")
         params = {"n_min": args.n_min, "n_max": args.n_max}
         if args.command == "galkin":
-            if not 2 <= args.n_min <= args.n_max:
-                parser.error(f"need 2 <= n-min <= n-max, got [{args.n_min}, {args.n_max}]")
             inputs = (args.n_min, args.n_max)
         else:
             if args.jobs < 1:

@@ -347,31 +347,16 @@ def _cell_failures(cell, exc: BaseException) -> list[CheckResult]:
     return [CheckResult(check_id, n, p, "fail", detail) for p in CHECKS[check_id][0](n)]
 
 
-def pool_workers(jobs: int, cells: int) -> int:
-    """Worker processes for a run of `cells` cells at `jobs`: at most one per
-    cell and one per CPU, so a large --jobs never starts more processes."""
-    return max(1, min(jobs, cells, os.cpu_count() or 1))
+def pool_workers(jobs: int, n_values: int) -> int:
+    """Worker processes for a run over `n_values` values of n at `jobs`: at
+    most one per n and one per CPU, so a large --jobs never starts more
+    processes, and a single n runs in this process."""
+    return max(1, min(jobs, n_values, os.cpu_count() or 1))
 
 
-def pool_tasks(cells, workers: int) -> list[list]:
-    """The cells grouped into pool tasks, in the order of cells.
-
-    One task holds every cell at one n, so the worker that builds an n's
-    operators and closed forms runs all of its checks on them.  With fewer
-    n values than workers, each cell is a task of its own, so that a run at
-    a single n still spreads over the workers.
-    """
-    by_n: dict[int, list] = {}
-    for cell in cells:
-        by_n.setdefault(cell[1], []).append(cell)
-    if len(by_n) < workers:
-        return [[cell] for cell in cells]
-    return list(by_n.values())
-
-
-def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
-    """The results of each cell, run as the tasks of pool_tasks in a pool of
-    `workers` processes.
+def _run_pool(tasks, workers: int) -> list[list[CheckResult]]:
+    """The results of each cell of the tasks, in order, each task run in one
+    of `workers` processes.
 
     A worker that dies breaks the whole pool, and every task it has not
     delivered fails with BrokenProcessPool.  The cells of those tasks run
@@ -387,11 +372,11 @@ def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
     if any(
         check_id in ("diagonalization", "simultaneous_diag", "fpdim_consistency")
         or (check_id == "galkin" and n <= GALKIN_CROSSCHECK_MAX_N)
-        for check_id, n in cells
+        for task in tasks
+        for check_id, n in task
     ):
         import numpy  # noqa: F401
 
-    tasks = pool_tasks(cells, workers)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_task, task) for task in tasks]
     chunks = []
@@ -399,9 +384,9 @@ def _run_pool(cells, workers: int) -> list[list[CheckResult]]:
         exc = future.exception()
         if exc is None:
             chunks += future.result()
-        elif isinstance(exc, concurrent.futures.BrokenExecutor) and len(cells) > 1:
+        elif isinstance(exc, concurrent.futures.BrokenExecutor) and sum(map(len, tasks)) > 1:
             for cell in task:
-                chunks += _run_pool([cell], 1)
+                chunks += _run_pool([[cell]], 1)
         else:  # never abort the sweep
             chunks += [_cell_failures(cell, exc) for cell in task]
     return chunks
@@ -413,9 +398,9 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     Results cover every (check, n, p) combination the checks' own case maps
     admit in the range; they are sorted by (check_id, n, p) and the summary
     tallies pass/fail per check.  checks=None runs every check; an empty list
-    raises ValueError rather than pass vacuously.  With jobs > 1 the (check, n)
-    cells run in pool_workers(jobs, cells) processes, one task per n (see
-    pool_tasks).  Output is deterministic regardless of jobs.
+    raises ValueError rather than pass vacuously.  The cells of one n form one
+    task, run in one of pool_workers(jobs, n values) processes, or in this
+    process when that is one.  Output is deterministic regardless of jobs.
     """
     if not (2 <= n_min <= n_max):
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
@@ -428,12 +413,12 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     if unknown:
         raise ValueError(f"unknown check ids: {', '.join(unknown)}")
     # Largest n first, so the slowest tasks start first in the pool.
-    cells = [(cid, n) for n in range(n_max, n_min - 1, -1) for cid in checks]
-    workers = pool_workers(jobs, len(cells))
+    tasks = [[(cid, n) for cid in checks] for n in range(n_max, n_min - 1, -1)]
+    workers = pool_workers(jobs, len(tasks))
     if workers > 1:
-        chunks = _run_pool(cells, workers)
+        chunks = _run_pool(tasks, workers)
     else:
-        chunks = [run_check_cell(*cell) for cell in cells]
+        chunks = [run_check_cell(*cell) for task in tasks for cell in task]
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.check_id, r.n, r.p))
     summary = {cid: {"pass": 0, "fail": 0} for cid in checks}

@@ -86,7 +86,7 @@ USAGE_ERRORS = [
     ("fpdim -n 3 -p 6", "p must be in [1, 5] for n=3, got 6"),
     ("galkin --n-min 3 --n-max 2", "need 2 <= n-min <= n-max, got [3, 2]"),
     ("galkin --n-min 1 --n-max 3", "need 2 <= n-min <= n-max, got [1, 3]"),
-    ("verify --n-min 3 --n-max 2", "need 2 <= n_min <= n_max, got [3, 2]"),
+    ("verify --n-min 3 --n-max 2", "need 2 <= n-min <= n-max, got [3, 2]"),
     ("verify --n-min 2 --n-max 2 --checks bogus", "unknown check ids: bogus"),
     ("charpoly -n 513 -p 1", "n must be at most 512 for charpoly, got 513"),
     ("spectrum -n 100001 -p 1", "n must be at most 100000 for spectrum, got 100001"),
@@ -417,9 +417,11 @@ class TestDeterminism:
         assert all(o == outs[0] for o in outs)
 
     def test_a_single_n_is_byte_identical_across_jobs(self, capsys, monkeypatch):
-        """At one n the pool runs one task per cell, in two workers."""
+        """Over n = 11 and 12, --jobs 2 runs each n's checks in a pool worker of
+        its own, so every check at n = 12 runs in a worker at one setting and in
+        this process at the other."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU machine
-        args = ["verify", "--n-min", "12", "--n-max", "12", "--format", "json", "--jobs"]
+        args = ["verify", "--n-min", "11", "--n-max", "12", "--format", "json", "--jobs"]
         pooled = run_cli(*args, "2", capsys=capsys)
         assert pooled[0] == 0
         assert pooled == run_cli(*args, "1", capsys=capsys)

@@ -48,6 +48,7 @@ def loaded_after(*argv):
         ["fpdim", "-n", "5", "-p", "3"],
         ["galkin", "--n-min", "13", "--n-max", "15"],
         ["verify", "--n-min", "2", "--n-max", "3", "--checks", "charpoly_main", "--jobs", "1"],
+        ["verify", "--n-min", "3", "--n-max", "3", "--checks", "charpoly_main,grading", "--jobs", "2"],
     ],
     ids=lambda argv: " ".join(argv) or "import",
 )

@@ -19,7 +19,7 @@ from oddquadric import (
     squarefree_decomposition,
 )
 from oddquadric import ring, serialize, spectra, verifier
-from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_tasks, pool_workers, run_check_cell
+from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_workers, run_check_cell
 
 EXPECTED_CASE_COUNTS_2_TO_4 = {
     "chevalley_golden": 1,
@@ -474,12 +474,8 @@ def test_a_multi_n_range_is_one_task_per_n(recording_pool):
     assert report.all_passed and len(report.results) == 3 + 12 + 18
 
 
-def test_a_single_n_is_one_task_per_cell(recording_pool):
-    run_suite(3, 3, checks=["galkin", "grading", "unit_column"], jobs=2)
-    assert recording_pool == [[("galkin", 3)], [("grading", 3)], [("unit_column", 3)]]
-
-
-def test_pool_tasks_split_by_n_only_with_an_n_per_worker():
-    cells = [(c, n) for n in (5, 4) for c in ("a", "b")]
-    assert pool_tasks(cells, 2) == [[("a", 5), ("b", 5)], [("a", 4), ("b", 4)]]
-    assert pool_tasks(cells, 3) == [[cell] for cell in cells]
+def test_a_single_n_runs_in_process(recording_pool):
+    checks = ["galkin", "grading", "unit_column"]
+    report = run_suite(3, 3, checks=checks, jobs=2)
+    assert recording_pool == []
+    assert serialize.report_json(report) == serialize.report_json(run_suite(3, 3, checks=checks, jobs=1))
