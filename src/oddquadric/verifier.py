@@ -340,34 +340,67 @@ def _run_task(cells):
     return [run_check_cell(*cell) for cell in cells]
 
 
-def _cell_failures(cell, exc: BaseException) -> list[CheckResult]:
+def _cell_failures(cell, detail: str) -> list[CheckResult]:
     """One failure per case of a cell whose worker could not deliver its results."""
     check_id, n = cell
-    detail = f"worker failed: {type(exc).__name__}: {exc}"
     return [CheckResult(check_id, n, p, "fail", detail) for p in CHECKS[check_id][0](n)]
+
+
+def _death_detail(status: int) -> str:
+    """The detail of a cell whose worker ended with wait status `status`."""
+    code = os.waitstatus_to_exitcode(status)
+    if code >= 0:
+        return f"worker died with exit status {code}"
+    import signal
+
+    return f"worker killed by signal {-code} ({signal.strsignal(-code)})"
 
 
 def pool_workers(jobs: int, n_values: int) -> int:
     """Worker processes for a run over `n_values` values of n at `jobs`: at
-    most one per n and one per CPU, so a large --jobs never starts more
-    processes, and a single n runs in this process."""
-    return max(1, min(jobs, n_values, os.cpu_count() or 1))
+    most one per n and one per CPU this process may run on, so a large --jobs
+    never starts more processes, and a single n runs in this process, as does
+    every run where os.fork does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(jobs, n_values, cpus))
+
+
+def _serve(tasks, task_r: int, result_w: int) -> None:
+    """A forked worker's loop: read a task index from the task pipe, run that
+    task, write (index, results) to the result pipe; stop at None."""
+    import pickle
+
+    inbox, outbox = os.fdopen(task_r, "rb"), os.fdopen(result_w, "wb")
+    while (i := pickle.load(inbox)) is not None:
+        pickle.dump((i, _run_task(tasks[i])), outbox)
+        outbox.flush()
 
 
 def _run_pool(tasks, workers: int) -> list[list[CheckResult]]:
     """The results of each cell of the tasks, in order, each task run in one
-    of `workers` processes.
+    of `workers` persistent processes forked from this one.
 
-    A worker that dies breaks the whole pool, and every task it has not
-    delivered fails with BrokenProcessPool.  The cells of those tasks run
-    again one at a time, each in a fresh single-worker pool, so only the cell
-    that kills its worker is recorded as failed.
+    Each worker takes task indices over a pipe and sends back each task's
+    results; the next task, in the given order, goes to whichever worker
+    finishes first.  A worker leaves only through os._exit, at None, at end
+    of file (its parent is gone) or on an exception, so it never runs this
+    process's exit handlers or flushes its buffers.  Every worker is reaped
+    before this returns, and killed first if this process raises.
+
+    A worker that dies fails only the task it was running, and a fresh worker
+    takes its place.  The cells of that task run again one at a time, each in
+    a fresh worker, so only the cell that kills its worker fails, with the
+    exit status or the signal in its detail.
 
     When a cell uses numpy (a float check, or root finding), numpy is
-    imported here, before the pool starts, so forked workers inherit it
-    instead of each importing it.
+    imported here, before the fork, so the workers inherit it instead of each
+    importing it.
     """
-    import concurrent.futures
+    import pickle
+    import select
 
     if any(
         check_id in ("diagonalization", "simultaneous_diag", "fpdim_consistency")
@@ -377,19 +410,81 @@ def _run_pool(tasks, workers: int) -> list[list[CheckResult]]:
     ):
         import numpy  # noqa: F401
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_task, task) for task in tasks]
-    chunks = []
-    for task, future in zip(tasks, futures):
-        exc = future.exception()
-        if exc is None:
-            chunks += future.result()
-        elif isinstance(exc, concurrent.futures.BrokenExecutor) and sum(map(len, tasks)) > 1:
+    chunks = [None] * len(tasks)
+    deaths = {}  # task index: wait status of the worker that died running it
+    todo = iter(range(len(tasks)))
+    running = {}  # result pipe: (pid, task pipe, task index)
+
+    def start(i):
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(task_w)
+                os.close(result_r)
+                for reader, (_, writer, _) in running.items():
+                    reader.close()
+                    os.close(writer)
+                _serve(tasks, task_r, result_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        reader = os.fdopen(result_r, "rb")
+        running[reader] = (pid, task_w, i)
+        send(reader, i)
+
+    def send(reader, i):
+        pid, writer, _ = running[reader]
+        try:
+            os.write(writer, pickle.dumps(i))
+        except BrokenPipeError:  # the worker died; its result pipe says so
+            pass
+        if i is None:
+            reap(reader)
+        else:
+            running[reader] = (pid, writer, i)
+
+    def reap(reader):
+        pid, writer, _ = running.pop(reader)
+        reader.close()
+        os.close(writer)
+        return os.waitpid(pid, 0)[1]
+
+    try:
+        for _, i in zip(range(workers), todo):
+            start(i)
+        while running:
+            for reader in select.select(list(running), [], [])[0]:
+                i = running[reader][2]
+                try:
+                    _, chunks[i] = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):  # the worker died
+                    deaths[i] = reap(reader)
+                    if (i := next(todo, None)) is not None:
+                        start(i)
+                else:
+                    send(reader, next(todo, None))
+    finally:
+        if running:
+            import signal
+
+            for reader, (pid, _, _) in list(running.items()):
+                os.kill(pid, signal.SIGKILL)
+                reap(reader)
+    out = []
+    for i, (task, chunk) in enumerate(zip(tasks, chunks)):
+        if i not in deaths:
+            out += chunk
+        elif len(task) > 1:
             for cell in task:
-                chunks += _run_pool([[cell]], 1)
-        else:  # never abort the sweep
-            chunks += [_cell_failures(cell, exc) for cell in task]
-    return chunks
+                out += _run_pool([[cell]], 1)
+        else:
+            out.append(_cell_failures(task[0], _death_detail(deaths[i])))
+    return out
 
 
 def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> VerificationReport:

@@ -420,7 +420,8 @@ class TestDeterminism:
         """Over n = 11 and 12, --jobs 2 runs each n's checks in a pool worker of
         its own, so every check at n = 12 runs in a worker at one setting and in
         this process at the other."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU machine
+        # a pool even on a one-CPU machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         args = ["verify", "--n-min", "11", "--n-max", "12", "--format", "json", "--jobs"]
         pooled = run_cli(*args, "2", capsys=capsys)
         assert pooled[0] == 0

@@ -1,4 +1,4 @@
-"""Start-up cost: a process loads numpy and the process pool only when it runs them."""
+"""Start-up cost: a process loads numpy only when it runs it, and no pool library ever."""
 
 import json
 import os
@@ -11,32 +11,41 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs `import oddquadric`, or cli.main on argv when one is given, and prints
-# the exit code and which of the heavy modules the process then holds.  The
-# probe reports two CPUs, so that --jobs 2 starts a pool on any machine.
+# the exit code, which of the heavy modules the process then holds and how
+# many processes it forked.  The probe reports two usable CPUs, so that
+# --jobs 2 starts a pool on any machine.
 PROBE = """
 import io, json, os, sys
 from contextlib import redirect_stdout
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 import oddquadric
 code = 0
 if sys.argv[1:]:
     from oddquadric.cli import main
     with redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("numpy", "concurrent.futures") if m in sys.modules)]))
+heavy = ("numpy", "concurrent.futures", "multiprocessing")
+print(json.dumps([code, sorted(m for m in heavy if m in sys.modules), len(forks)]))
 """
 
 
-def loaded_after(*argv):
+def run_probe(*argv):
+    """The heavy modules loaded after PROBE runs argv, and the forks it made."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], capture_output=True, env=env, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    code, modules = json.loads(done.stdout)
+    code, modules, forks = json.loads(done.stdout)
     assert code == 0
-    return modules
+    return modules, forks
+
+
+def loaded_after(*argv):
+    return run_probe(*argv)[0]
 
 
 @pytest.mark.parametrize(
@@ -53,7 +62,7 @@ def loaded_after(*argv):
     ids=lambda argv: " ".join(argv) or "import",
 )
 def test_exact_paths_load_neither_numpy_nor_the_pool(argv):
-    assert loaded_after(*argv) == []
+    assert run_probe(*argv) == ([], 0)
 
 
 def test_float_checks_load_numpy():
@@ -67,9 +76,9 @@ def test_the_galkin_root_cross_check_loads_numpy():
 
 def test_a_pool_of_root_finding_cells_loads_numpy_before_it_forks():
     argv = ["verify", "--n-min", "2", "--n-max", "3", "--checks", "fpdim_consistency", "--jobs", "2"]
-    assert loaded_after(*argv) == ["concurrent.futures", "numpy"]
+    assert run_probe(*argv) == (["numpy"], 2)
 
 
 def test_a_pool_of_exact_checks_does_not_load_numpy():
     argv = ["verify", "--n-min", "2", "--n-max", "3", "--checks", "charpoly_main", "--jobs", "2"]
-    assert loaded_after(*argv) == ["concurrent.futures"]
+    assert run_probe(*argv) == ([], 2)

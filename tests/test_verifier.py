@@ -1,8 +1,7 @@
 """Verifier suite: determinism, completeness, witnesses, and the mutation probe."""
 
-import concurrent.futures
-import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -207,11 +206,22 @@ def test_exceptions_become_failures(monkeypatch):
     assert "synthetic" in results[0].detail
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers see the patched check only when forked",
-)
-def test_dead_worker_becomes_failures(monkeypatch):
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="pool workers are forked")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A pool even on a one-CPU machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_dead_worker_becomes_failures(monkeypatch, two_cpus):
     from oddquadric import verifier
 
     def die(n, p):
@@ -220,50 +230,120 @@ def test_dead_worker_becomes_failures(monkeypatch):
         return True, "alive", None
 
     monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], die))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on a one-CPU machine
     report = run_suite(2, 4, checks=["galkin", "corollary32"], jobs=2)
     keys = [(r.check_id, r.n, r.p) for r in report.results]
     assert keys == sorted(keys)
     assert len(keys) == 6
     dead = next(r for r in report.results if (r.check_id, r.n) == ("galkin", 3))
     assert dead.status == "fail"
-    assert "BrokenProcessPool" in dead.detail
+    assert dead.detail == "worker died with exit status 1"
     assert not report.all_passed
+    assert_no_child_left()
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="pool workers see the patched check only when forked",
-)
-def test_dead_worker_fails_only_its_own_cell(monkeypatch):
+def run_with_a_killing_cell(monkeypatch, die):
+    """galkin over n = 2..8 at --jobs 2, where the cell at n = 3 calls die()."""
     from oddquadric import verifier
 
-    def die(n, p):
+    def check(n, p):
         if n == 3:
-            os._exit(1)
+            die()
         time.sleep(0.1)  # so later cells are still pending when the worker dies
         return True, "alive", None
 
-    monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], die))
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], check))
     report = run_suite(2, 8, checks=["galkin"], jobs=2)
     assert [(r.n, r.status) for r in report.results] == [
         (n, "fail" if n == 3 else "pass") for n in range(2, 9)
     ]
-    assert "BrokenProcessPool" in report.results[1].detail
     assert all(r.detail == "alive" for r in report.results if r.n != 3)
     assert report.summary == {"galkin": {"pass": 6, "fail": 1}}
+    assert_no_child_left()
+    return report.results[1].detail
+
+
+@needs_fork
+def test_dead_worker_fails_only_its_own_cell(monkeypatch, two_cpus):
+    detail = run_with_a_killing_cell(monkeypatch, lambda: os._exit(1))
+    assert detail == "worker died with exit status 1"
+
+
+@needs_fork
+def test_a_worker_killed_by_a_signal_fails_only_its_own_cell(monkeypatch, two_cpus):
+    detail = run_with_a_killing_cell(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    sig = signal.SIGKILL
+    assert detail == f"worker killed by signal {int(sig)} ({signal.strsignal(sig)})"
+
+
+@needs_fork
+def test_a_clean_pool_run_leaves_no_child(two_cpus):
+    report = run_suite(2, 4, checks=["galkin", "grading"], jobs=2)
+    assert report.all_passed
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_that_raises_fails_its_cells_and_is_reaped(monkeypatch, two_cpus):
+    from oddquadric import verifier
+
+    def interrupted(task):
+        raise KeyboardInterrupt  # run_check_cell lets it through
+
+    monkeypatch.setattr(verifier, "_run_task", interrupted)
+    report = run_suite(2, 3, checks=["galkin", "grading"], jobs=2)
+    assert len(report.results) == 2 + 2 + 4
+    assert all(r.detail == "worker died with exit status 1" for r in report.results)
+    assert_no_child_left()
+
+
+@needs_fork
+def test_an_interrupted_parent_kills_and_reaps_its_workers(monkeypatch, two_cpus):
+    import select
+
+    from oddquadric import verifier
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    def slow(n, p):
+        time.sleep(30)
+        return True, "alive", None
+
+    monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], slow))
+    monkeypatch.setattr(select, "select", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suite(2, 4, checks=["galkin"], jobs=2)
+    assert time.monotonic() - start < 10  # killed, not waited for
+    assert_no_child_left()
 
 
 def test_pool_workers_bounded_by_cells_and_cpus(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert pool_workers(10**9, 10**6) == 4
     assert pool_workers(10**9, 3) == 3
     assert pool_workers(2, 10**6) == 2
     assert pool_workers(1, 10**6) == 1
     assert pool_workers(0, 5) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # no affinity: all CPUs
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pool_workers(10**9, 10**6) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown CPU count
     assert pool_workers(10**9, 10**6) == 1
+
+
+def test_pool_workers_count_only_the_cpus_this_process_may_use(monkeypatch):
+    """As under `taskset -c 0`: the machine has four CPUs, the process one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pool_workers(4, 10) == 1
+
+
+def test_without_fork_every_run_is_in_process(monkeypatch, two_cpus):
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert pool_workers(4, 10) == 1
+    report = serialize.report_json(run_suite(2, 3, checks=["grading"], jobs=2))
+    assert report == serialize.report_json(run_suite(2, 3, checks=["grading"], jobs=1))
 
 
 def _reference_details(n):
@@ -436,46 +516,29 @@ def test_fpdim_consistency_fails_only_the_p_whose_roots_failed(monkeypatch, cold
     assert max(batches) > 1 and len(batches) < 9  # p = 2 shared a batch
 
 
-class RecordingPool:
-    """A stand-in for ProcessPoolExecutor that records each submitted task and
-    runs it in this process."""
-
-    tasks: list = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, task):
-        RecordingPool.tasks.append(task)
-        future = concurrent.futures.Future()
-        future.set_result(fn(task))
-        return future
-
-
 @pytest.fixture
-def recording_pool(monkeypatch):
-    RecordingPool.tasks = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return RecordingPool.tasks
+def recorded_tasks(monkeypatch, two_cpus):
+    """The tasks handed to the pool, which runs them in this process instead."""
+    tasks = []
+
+    def run_pool(pool_tasks, workers):
+        tasks.extend(pool_tasks)
+        return [chunk for task in pool_tasks for chunk in verifier._run_task(task)]
+
+    monkeypatch.setattr(verifier, "_run_pool", run_pool)
+    return tasks
 
 
-def test_a_multi_n_range_is_one_task_per_n(recording_pool):
+def test_a_multi_n_range_is_one_task_per_n(recorded_tasks):
     report = run_suite(2, 4, checks=["galkin", "grading", "unit_column"], jobs=2)
-    assert recording_pool == [
+    assert recorded_tasks == [
         [("galkin", n), ("grading", n), ("unit_column", n)] for n in (4, 3, 2)
     ]
     assert report.all_passed and len(report.results) == 3 + 12 + 18
 
 
-def test_a_single_n_runs_in_process(recording_pool):
+def test_a_single_n_runs_in_process(recorded_tasks):
     checks = ["galkin", "grading", "unit_column"]
     report = run_suite(3, 3, checks=checks, jobs=2)
-    assert recording_pool == []
+    assert recorded_tasks == []
     assert serialize.report_json(report) == serialize.report_json(run_suite(3, 3, checks=checks, jobs=1))
