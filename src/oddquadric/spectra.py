@@ -266,31 +266,17 @@ def _horner_runs(coeffs: list[complex]) -> tuple[tuple[int, int | None], ...]:
     return tuple(runs)
 
 
-def durand_kerner(coeffs, max_iter: int = DK_MAX_ITER) -> list[complex]:
-    """All roots of a monic polynomial by simultaneous (Durand-Kerner) iteration.
-
-    coeffs ascending, leading coefficient 1.  Starts from points on a circle
-    bounding all roots, offset off the real axis to break symmetric stalls;
-    stops when every root update drops below DK_TOL, and raises
-    RootFindingError if that does not happen within max_iter sweeps, or as
-    soon as an update overflows to inf or NaN.  This is durand_kerner_batch
-    on a batch of one.
-    """
-    (roots,) = durand_kerner_batch([coeffs], max_iter)
-    if isinstance(roots, RootFindingError):
-        raise roots
-    return roots
-
-
 def durand_kerner_batch(polys, max_iter: int = DK_MAX_ITER) -> list:
-    """durand_kerner on monic polynomials of one shape, in one iteration.
+    """All roots of monic polynomials of one shape by one simultaneous (Durand-Kerner) iteration.
 
-    polys are ascending coefficient lists of one degree with their nonzero
-    coefficients in the same places (see _horner_runs).  Returns, for each,
-    its roots or the RootFindingError that durand_kerner raises for it.  A
-    polynomial leaves the batch when it converges or fails, and the rest
-    carry on, so each outcome is the one the polynomial has alone.  A batch
-    whose sweep array would outgrow DK_BATCH_BYTES runs in consecutive parts.
+    polys are ascending coefficient lists, leading coefficient 1, of one degree
+    with their nonzero coefficients in the same places (see _horner_runs).
+    Each starts on a circle bounding its roots, offset off the real axis to
+    break symmetric stalls.  Returns, for each, its roots once every update is
+    below DK_TOL, or a RootFindingError if that takes over max_iter sweeps or
+    an update overflows to inf or NaN.  A polynomial leaves the batch when it
+    converges or fails, so each outcome is the one it has alone.  A batch
+    whose sweep array would outgrow DK_BATCH_BYTES runs in parts.
 
     Bit-identity contract: every root is bit for bit the one of the plain
     loop kept in tests/test_spectra.py, which evaluates Horner's rule
@@ -428,6 +414,38 @@ def _durand_kerner_part(polys, runs, width, others, max_iter) -> list:
     return outcomes
 
 
+def _roots_batch(polys: list[Poly]) -> list:
+    """all_roots of each polynomial, or the first RootFindingError of its factors in Yun order.
+
+    Linear factors are read exactly; the nonlinear factors of all the
+    polynomials are found together, one durand_kerner_batch per shape.
+    """
+    found = []  # per polynomial: [roots or error, multiplicity] per factor
+    shapes: dict[tuple, list] = {}  # per shape: (a nonlinear factor's entry in found, coefficients)
+    for f in polys:
+        if f.degree < 1:
+            raise ValueError("need a nonconstant polynomial")
+        if not f.is_monic:
+            raise ValueError("need a monic polynomial")
+        k, g = f.strip_zero_roots()
+        found.append([[[0j], k]] if k else [])
+        for factor, mult in squarefree_decomposition(g) if g.degree > 0 else ():
+            if factor.degree == 1:
+                found[-1].append([[complex(-factor.coeffs[0])], mult])
+            else:
+                coeffs = [complex(c) for c in factor.coeffs]
+                found[-1].append([None, mult])
+                shapes.setdefault(_horner_runs(coeffs), []).append((found[-1][-1], coeffs))
+    for batch in shapes.values():
+        for (entry, _), roots in zip(batch, durand_kerner_batch([c for _, c in batch])):
+            entry[0] = roots
+    out = []
+    for factors in found:
+        errors = [roots for roots, _ in factors if isinstance(roots, RootFindingError)]
+        out.append(errors[0] if errors else [(r, mult) for roots, mult in factors for r in roots])
+    return out
+
+
 def all_roots(f: Poly) -> list[tuple[complex, int]]:
     """Roots of a monic polynomial with exact multiplicities.
 
@@ -436,19 +454,9 @@ def all_roots(f: Poly) -> list[tuple[complex, int]]:
     multiple roots would otherwise cap the attainable accuracy at the cluster
     radius ~eps^(1/multiplicity).
     """
-    if f.degree < 1:
-        raise ValueError("need a nonconstant polynomial")
-    if not f.is_monic:
-        raise ValueError("need a monic polynomial")
-    k, g = f.strip_zero_roots()
-    roots: list[tuple[complex, int]] = [(0j, k)] if k else []
-    if g.degree > 0:
-        for factor, mult in squarefree_decomposition(g):
-            if factor.degree == 1:
-                roots.append((complex(-factor.coeffs[0]), mult))
-            else:
-                for r in durand_kerner([complex(c) for c in factor.coeffs]):
-                    roots.append((r, mult))
+    (roots,) = _roots_batch([f])
+    if isinstance(roots, RootFindingError):
+        raise roots
     return roots
 
 
@@ -460,46 +468,23 @@ def max_root_modulus(f: Poly) -> float:
 def located_radius(ctx: QuadricContext, p: int) -> float:
     """max_root_modulus(closed_form_charpoly(ctx, p)), bit for bit, for p in [1, 2n-1].
 
-    Read from a batch over every p at this n; a p whose root finding failed
-    raises its own RootFindingError, and every other p is unaffected.
+    Read from one _roots_batch over every p at this n; a p whose root finding
+    failed raises its own RootFindingError, and every other p is unaffected.
     """
     _check_spectrum_degree(ctx, p)
-    radius = _located_radii(ctx)[p - 1]
+    radius = _closed_form_radii(ctx)[p - 1]
     if isinstance(radius, RootFindingError):
         raise radius.with_traceback(None)
     return radius
 
 
 @lru_cache(maxsize=None)
-def _located_radii(ctx: QuadricContext) -> tuple[float | RootFindingError, ...]:
-    """located_radius for p = 1 .. 2n-1, or the first error of p's factors in
-    the order all_roots meets them.  Built once per n.
-
-    Yun's decomposition splits each closed form as all_roots does; the
-    nonlinear factors of every p are then found together, one
-    durand_kerner_batch per shape, which gives each root its
-    durand_kerner bits.
-    """
-    found: dict[int, list] = {}  # per p: root moduli or errors, one per factor
-    shapes: dict[tuple, list] = {}  # per shape: (p, slot in found[p], coefficients)
-    for p in range(1, ctx.dim + 1):
-        k, g = closed_form_charpoly(ctx, p).strip_zero_roots()
-        found[p] = [0.0] if k else []
-        for factor, _ in squarefree_decomposition(g) if g.degree > 0 else ():
-            if factor.degree == 1:
-                found[p].append(abs(complex(-factor.coeffs[0])))
-            else:
-                coeffs = [complex(c) for c in factor.coeffs]
-                shapes.setdefault(_horner_runs(coeffs), []).append((p, len(found[p]), coeffs))
-                found[p].append(None)
-    for batch in shapes.values():
-        for (p, slot, _), roots in zip(batch, durand_kerner_batch([c for _, _, c in batch])):
-            found[p][slot] = roots if isinstance(roots, RootFindingError) else max(map(abs, roots))
-    radii = []
-    for p in range(1, ctx.dim + 1):
-        errors = [r for r in found[p] if isinstance(r, RootFindingError)]
-        radii.append(errors[0] if errors else max(found[p]))
-    return tuple(radii)
+def _closed_form_radii(ctx: QuadricContext) -> tuple[float | RootFindingError, ...]:
+    """located_radius for p = 1 .. 2n-1, or p's RootFindingError.  Built once per n."""
+    return tuple(
+        roots if isinstance(roots, RootFindingError) else max(abs(r) for r, _ in roots)
+        for roots in _roots_batch([closed_form_charpoly(ctx, p) for p in range(1, ctx.dim + 1)])
+    )
 
 
 def match_root_multisets(pairs, roots, tol: float = ROOT_MATCH_TOL):
@@ -530,7 +515,7 @@ def corollary_32_check(ctx: QuadricContext) -> bool:
         lam = 0j if j == "zero" else tau1_eigenvalue(ctx, j)
         w = (lam**dim - 2) / 2
         target = -1 if j == "zero" else 1
-        if abs(w - target) > COR32_TOL:
+        if not abs(w - target) <= COR32_TOL:  # a NaN fails too
             return False
     return True
 

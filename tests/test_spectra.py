@@ -39,8 +39,9 @@ from oddquadric.spectra import (
     _eigenvector_arrays,
     _horner_runs,
     _initial_radius,
-    durand_kerner,
+    _roots_batch,
     durand_kerner_batch,
+    located_radius,
     operator_as_array,
 )
 
@@ -210,14 +211,14 @@ class TestRootFinding:
 
     def test_nonconvergence_is_loud(self):
         with pytest.raises(RootFindingError):
-            durand_kerner([complex(-4), 0j, 0j, complex(1)], max_iter=1)
+            batch_of_one([complex(-4), 0j, 0j, complex(1)], max_iter=1)
 
     @pytest.mark.parametrize(
         "coeffs", [[1e300] + [0] * 29 + [1], [1e308, 1e308, 1]], ids=["deg30", "deg2"]
     )
     def test_overflow_is_loud(self, coeffs):
         with pytest.raises(RootFindingError, match="not finite"):
-            durand_kerner(coeffs)
+            all_roots(Poly(coeffs))
 
     def test_against_numpy_roots(self):
         rng = np.random.default_rng(7)
@@ -301,8 +302,16 @@ class TestSpectrumReport:
         assert not spectrum_report(ctx, 3).simple
 
 
+def batch_of_one(coeffs, max_iter=DK_MAX_ITER):
+    """durand_kerner_batch on one polynomial: its roots, or its RootFindingError raised."""
+    (roots,) = durand_kerner_batch([coeffs], max_iter)
+    if isinstance(roots, RootFindingError):
+        raise roots
+    return roots
+
+
 def reference_durand_kerner(coeffs, max_iter=DK_MAX_ITER):
-    """The plain Python loop that durand_kerner must reproduce bit for bit."""
+    """The plain Python loop that durand_kerner_batch must reproduce bit for bit."""
     coeffs = [complex(c) for c in coeffs]
     deg = len(coeffs) - 1
     if deg == 1:
@@ -376,7 +385,7 @@ class TestDurandKernerBitIdentity:
         for p in range(1, 2 * n):
             for coeffs in _nonlinear_factors(closed_form_charpoly(ctx, p)):
                 want = _outcome(reference_durand_kerner, coeffs)
-                assert _outcome(durand_kerner, coeffs) == want
+                assert _outcome(batch_of_one, coeffs) == want
                 shapes.setdefault(_horner_runs(coeffs), []).append((coeffs, want))
         for batch in shapes.values():
             assert _batch_outcomes([c for c, _ in batch]) == [want for _, want in batch]
@@ -387,12 +396,12 @@ class TestDurandKernerBitIdentity:
         factors = _nonlinear_factors(f)
         assert factors
         for coeffs in factors:
-            assert _outcome(durand_kerner, coeffs) == _outcome(reference_durand_kerner, coeffs)
+            assert _outcome(batch_of_one, coeffs) == _outcome(reference_durand_kerner, coeffs)
 
     @settings(max_examples=300, deadline=None)
     @given(coeffs=monic_with_zero_runs())
     def test_random_polynomials_with_zero_runs(self, coeffs):
-        assert _outcome(durand_kerner, coeffs, max_iter=80) == _outcome(
+        assert _outcome(batch_of_one, coeffs, max_iter=80) == _outcome(
             reference_durand_kerner, coeffs, max_iter=80
         )
 
@@ -417,13 +426,13 @@ class TestDurandKernerBitIdentity:
         # DK_TOL; coefficients of 10^308 overflow the first sweep.
         stalls = on_pattern(1e6)
         overflows = [1e308 if c else 0j for c in pattern[:-1]] + [1 + 0j]
-        assume("did not converge" in str(_outcome(durand_kerner, stalls, max_iter=80)))
-        assume("overflowed" in str(_outcome(durand_kerner, overflows, max_iter=80)))
+        assume("did not converge" in str(_outcome(batch_of_one, stalls, max_iter=80)))
+        assume("overflowed" in str(_outcome(batch_of_one, overflows, max_iter=80)))
         polys = [on_pattern() for _ in range(data.draw(st.integers(0, 4)))]
         for extra in (stalls, overflows):
             polys.insert(data.draw(st.integers(0, len(polys))), extra)
         got = _batch_outcomes(polys, max_iter=80)
-        assert got == [_outcome(durand_kerner, c, max_iter=80) for c in polys]
+        assert got == [_outcome(batch_of_one, c, max_iter=80) for c in polys]
         for coeffs, outcome in zip(polys, got):
             if coeffs is not overflows:  # the plain loop has no overflow test
                 assert outcome == _outcome(reference_durand_kerner, coeffs, max_iter=80)
@@ -434,9 +443,82 @@ class TestDurandKernerBitIdentity:
 
     def test_nonconvergence_message_matches(self):
         coeffs = [complex(-4), 0j, 0j, complex(1)]
-        assert _outcome(durand_kerner, coeffs, max_iter=1) == _outcome(
+        assert _outcome(batch_of_one, coeffs, max_iter=1) == _outcome(
             reference_durand_kerner, coeffs, max_iter=1
         )
+
+
+def reference_all_roots(f):
+    """all_roots one factor at a time: x^k stripped, Yun's decomposition,
+    linear factors read exactly and each nonlinear factor found alone."""
+    k, g = f.strip_zero_roots()
+    roots = [(0j, k)] if k else []
+    for factor, mult in squarefree_decomposition(g) if g.degree > 0 else ():
+        if factor.degree == 1:
+            roots.append((complex(-factor.coeffs[0]), mult))
+        else:
+            roots += [(r, mult) for r in batch_of_one([complex(c) for c in factor.coeffs])]
+    return roots
+
+
+def _roots_bits(roots):
+    """The bits of every (root, multiplicity), or the error message."""
+    if isinstance(roots, RootFindingError):
+        return str(roots)
+    return [(r.real.hex(), r.imag.hex(), m) for r, m in roots]
+
+
+def _alone(finder, f):
+    """_roots_bits of finder(f), or the message of the error it raises."""
+    try:
+        return _roots_bits(finder(f))
+    except RootFindingError as exc:
+        return str(exc)
+
+
+class TestRootsBatch:
+    def test_a_mixed_batch_gives_each_polynomial_its_own_roots(self):
+        """Zero roots, linear and repeated factors, two shapes of nonlinear
+        factor and an overflowing polynomial in one batch: each polynomial gets
+        the roots, or the error, that all_roots gives it alone, and that its
+        factors give one at a time."""
+        x = Poly([0, 1])
+
+        def cubic(c):  # x^3 - c: one shape for every c != 0
+            return x**3 - Poly([c])
+
+        def quadratic(b, c):  # x^2 + bx + c: the other shape, for b, c != 0
+            return x**2 + Poly([c, b])
+
+        polys = [
+            x**2 * cubic(4),
+            (x - Poly([2])) ** 2 * cubic(2),
+            cubic(3) ** 2 * (x + Poly([1])) ** 3,
+            x * quadratic(1, 1),
+            quadratic(2, 3) ** 2,
+            (x - Poly([1])) ** 2 * cubic(-(10**308)),
+            # Two failing factors: x^3 + 10^308 overflows and, second in Yun
+            # order, x^3 - 7e18 stalls; the first error is the one reported.
+            cubic(-(10**308)) * cubic(7 * 10**18) ** 2,
+        ]
+        got = [_roots_bits(roots) for roots in _roots_batch(polys)]
+        assert got == [_alone(all_roots, f) for f in polys]
+        assert got == [_alone(reference_all_roots, f) for f in polys]
+        assert got[5] == got[6] == "root iteration overflowed: an update is not finite"
+        assert "did not converge" in _alone(all_roots, cubic(7 * 10**18))
+        assert [m for *_, m in got[2]] == [2, 2, 2, 3]
+
+    def test_a_batch_validates_every_polynomial(self):
+        with pytest.raises(ValueError, match="monic"):
+            _roots_batch([Poly([-4, 0, 1]), Poly([1, 2])])
+        with pytest.raises(ValueError, match="nonconstant"):
+            _roots_batch([Poly([-4, 0, 1]), Poly([3])])
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_located_radius_is_max_root_modulus_bit_for_bit(self, n):
+        ctx = make_context(n)
+        for p in range(1, 2 * n):
+            assert located_radius(ctx, p) == max_root_modulus(closed_form_charpoly(ctx, p))
 
 
 def _random_complex(rng, size):
@@ -446,7 +528,7 @@ def _random_complex(rng, size):
 
 
 class TestNumpyRoundingContract:
-    """The two numpy operations durand_kerner relies on round like CPython.
+    """The two numpy operations durand_kerner_batch relies on round like CPython.
 
     A numpy build or CPU that breaks either fails here by name, before the
     reference comparisons below show only that some root bits moved.
@@ -488,4 +570,4 @@ class TestDurandKernerBinomials:
     @pytest.mark.parametrize("m", range(3, 64, 2))
     def test_binomial(self, m, c):
         coeffs = [complex(-c)] + [0j] * (m - 1) + [1 + 0j]
-        assert _outcome(durand_kerner, coeffs) == _outcome(reference_durand_kerner, coeffs)
+        assert _outcome(batch_of_one, coeffs) == _outcome(reference_durand_kerner, coeffs)

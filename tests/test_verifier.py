@@ -457,12 +457,29 @@ def test_degree_one_krylov_basis(n):
         vec = ring.build_a1(ctx).apply(vec)
 
 
+def test_simultaneous_diag_fails_on_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(verifier, "operator_eigenvalue", lambda ctx, p, j: complex("nan"))
+    results = run_check_cell("simultaneous_diag", 3)
+    assert [r.status for r in results] == ["fail"] * 5
+    assert results[0].detail == "shared-eigenvector residual nan exceeds 1e-08"
+
+
+def test_corollary32_fails_on_a_nan_eigenvalue(monkeypatch):
+    real = spectra.tau1_eigenvalue
+    monkeypatch.setattr(
+        spectra, "tau1_eigenvalue", lambda ctx, j: complex("nan") if j == 2 else real(ctx, j)
+    )
+    (result,) = run_check_cell("corollary32", 3)
+    assert result.status == "fail"
+    assert result.detail == "eigenvalue identity violated"
+
+
 @pytest.fixture
 def cold_radii():
     """An empty per-n cache of located radii before and after the test."""
-    spectra._located_radii.cache_clear()
+    spectra._closed_form_radii.cache_clear()
     yield
-    spectra._located_radii.cache_clear()
+    spectra._closed_form_radii.cache_clear()
 
 
 def _factor(n, p):
