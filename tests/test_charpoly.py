@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -82,6 +83,21 @@ class TestCofactor:
                 ]
                 m = Matrix(rows)
                 assert charpoly_cofactor(m) == charpoly_faddeev(m)
+
+    def test_dense_matrix_at_the_dimension_limit(self):
+        # Every entry nonzero, so no minor is skipped: N! = 3,628,800 expansion
+        # paths, 2^N = 1024 distinct minors.
+        rng = random.Random(20261019)
+        rows = [
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for _ in range(10)]
+            for _ in range(10)
+        ]
+        m = Matrix(rows)
+        t0 = time.perf_counter()
+        f = charpoly_cofactor(m)
+        elapsed = time.perf_counter() - t0
+        assert f == charpoly_faddeev(m)
+        assert elapsed < 5, f"dense 10 x 10 cofactor expansion took {elapsed:.2f} s"
 
 
 class TestClosedForm:
@@ -202,6 +218,7 @@ class TestLargeN:
 
 INVARIANT_SCRIPT = """
 import sys
+import time
 from fractions import Fraction
 
 from oddquadric import Matrix, Operator, Poly, QuadricContext, charpoly, make_context, ring, spectra

@@ -58,6 +58,7 @@ def loaded_after(*argv):
         ["galkin", "--n-min", "13", "--n-max", "15"],
         ["verify", "--n-min", "2", "--n-max", "3", "--checks", "charpoly_main", "--jobs", "1"],
         ["verify", "--n-min", "3", "--n-max", "3", "--checks", "charpoly_main,grading", "--jobs", "2"],
+        ["verify", "--n-min", "2", "--n-max", "5", "--checks", "charpoly_oracle,unit_column", "--jobs", "1"],
     ],
     ids=lambda argv: " ".join(argv) or "import",
 )

@@ -3,6 +3,7 @@
 import os
 import signal
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -377,14 +378,14 @@ def test_numeric_details_match_the_dense_reference(n):
 
 
 def test_checks_read_no_dense_view(monkeypatch):
-    """Every check but the two that serialize or expand the dense matrix runs
-    on the integer form; reading Matrix.rows raises."""
+    """Every check but the one that serializes the dense matrix runs on the
+    integer form; reading Matrix.rows raises."""
 
     def dense_view(self):
         raise AssertionError("dense Fraction view read")
 
     monkeypatch.setattr(ring.Matrix, "rows", property(dense_view))
-    checks = [c for c in CHECK_IDS if c not in ("chevalley_golden", "charpoly_oracle")]
+    checks = [c for c in CHECK_IDS if c != "chevalley_golden"]
     report = run_suite(2, 6, checks=checks)
     assert [r for r in report.results if r.status == "fail"] == []
     assert sorted(report.summary) == checks
@@ -415,6 +416,66 @@ def test_commutativity_check_can_fail(monkeypatch):
         "ba": serialize.matrix_json(b * a),
     }
     assert result.witness["ab"] != result.witness["ba"]
+
+
+@pytest.mark.parametrize(
+    "factor, degrees, entry",
+    [
+        (2, range(3, 6), "2"),  # the halving dropped: 2 A_p from the middle degree on
+        (Fraction(1, 2), range(1, 3), "1/2"),  # a halving below the middle
+    ],
+    ids=["no_halving", "halved_below_the_middle"],
+)
+def test_unit_column_check_can_fail(monkeypatch, factor, degrees, entry):
+    real = verifier.build_ap
+
+    def mutated(ctx, p):
+        op = real(ctx, p)
+        return ring.Operator(ctx, p, op.scale(factor)) if p in degrees else op
+
+    monkeypatch.setattr(verifier, "build_ap", mutated)
+    results = run_check_cell("unit_column", 3)
+    assert [r.p for r in results if r.status == "fail"] == list(degrees)
+    # the witnesses are the ones the dense matrix-vector product gave, as
+    # strings: t_p expected, entry * t_p got
+    for p in degrees:
+        assert results[p].detail == "unit column is wrong"
+        assert results[p].witness == {
+            "expected": ["1" if i == p else "0" for i in range(6)],
+            "got": [entry if i == p else "0" for i in range(6)],
+        }
+
+
+def _unsigned_cofactor(m):
+    """Laplace expansion of lam*I - M with every cofactor sign +: the permanent."""
+
+    def expand(rows):
+        if not rows:
+            return Poly([1])
+        total = Poly([0])
+        for j, entry in enumerate(rows[0]):
+            total = total + entry * expand([row[:j] + row[j + 1 :] for row in rows[1:]])
+        return total
+
+    return expand([
+        [Poly([-v, 1]) if i == j else Poly([-v]) for j, v in enumerate(row)]
+        for i, row in enumerate(m.rows)
+    ])
+
+
+def test_charpoly_oracle_check_can_fail(monkeypatch):
+    monkeypatch.setattr(verifier, "charpoly_cofactor", _unsigned_cofactor)
+    results = run_check_cell("charpoly_oracle", 2)
+    # at n = 2 the permanent of lam*I - A_p equals the determinant for p < 3;
+    # only the point class, A_1^3 / 2 - I, tells them apart
+    assert [r.status for r in results] == ["pass"] * 3 + ["fail"]
+    assert results[3].detail == "the two characteristic polynomial algorithms disagree"
+    op = ring.build_ap(make_context(2), 3)
+    assert results[3].witness == {
+        "faddeev": serialize.poly_json(verifier.charpoly_faddeev(op)),
+        "cofactor": serialize.poly_json(_unsigned_cofactor(op)),
+    }
+    assert results[3].witness["faddeev"] != results[3].witness["cofactor"]
 
 
 def test_commutativity_needs_a_cyclic_degree_one_operator(monkeypatch):
