@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from math import isfinite, ulp
 from operator import sub, truediv
 from typing import TYPE_CHECKING
 
@@ -34,7 +34,7 @@ SHARED_EIGVEC_TOL = 1e-8     # shared-eigenvector residual for the other operato
 ROOT_MATCH_TOL = 1e-8        # numeric roots vs closed-form eigenvalues
 COR32_TOL = 1e-9             # the (lam^(2n-1) - 2)/2 identity
 PIVOT_RATIO = 1e-8           # min/max pivot ratio certifying P invertible
-DK_TOL = 1e-12               # root-update threshold for Durand-Kerner
+DK_TOL = 1e-12               # Durand-Kerner update threshold, or 4 ulp of the start radius if larger
 DK_MAX_ITER = 500
 # Largest sweep array of one durand_kerner_batch part.  On a 2-vCPU Xeon with
 # 4 MiB of L2 per core, the 992 nonlinear closed-form factors with n <= 32, in
@@ -266,17 +266,21 @@ def _horner_runs(coeffs: list[complex]) -> tuple[tuple[int, int | None], ...]:
     return tuple(runs)
 
 
-def durand_kerner_batch(polys, max_iter: int = DK_MAX_ITER) -> list:
+def durand_kerner_batch(polys, runs) -> list:
     """All roots of monic polynomials of one shape by one simultaneous (Durand-Kerner) iteration.
 
-    polys are ascending coefficient lists, leading coefficient 1, of one degree
-    with their nonzero coefficients in the same places (see _horner_runs).
-    Each starts on a circle bounding its roots, offset off the real axis to
+    Precondition, met by _roots_batch and not checked here: polys is a
+    nonempty list of ascending complex coefficient lists of one degree of at
+    least 2, each with leading coefficient exactly 1+0j and with
+    _horner_runs(coeffs) == runs.  Each starts on a circle of radius r0 =
+    _initial_radius(coeffs) bounding its roots, offset off the real axis to
     break symmetric stalls.  Returns, for each, its roots once every update is
-    below DK_TOL, or a RootFindingError if that takes over max_iter sweeps or
-    an update overflows to inf or NaN.  A polynomial leaves the batch when it
-    converges or fails, so each outcome is the one it has alone.  A batch
-    whose sweep array would outgrow DK_BATCH_BYTES runs in parts.
+    below max(DK_TOL, 4 * ulp(r0)), or a RootFindingError if that takes over
+    DK_MAX_ITER sweeps or an update overflows to inf or NaN.  The ulp term
+    only counts for r0 >= 2048, where the ulp of a root can exceed DK_TOL.  A
+    polynomial leaves the batch when it converges or fails, so each outcome
+    is the one it has alone.  A batch whose sweep array would outgrow
+    DK_BATCH_BYTES runs in parts.
 
     Bit-identity contract: every root is bit for bit the one of the plain
     loop kept in tests/test_spectra.py, which evaluates Horner's rule
@@ -297,37 +301,22 @@ def durand_kerner_batch(polys, max_iter: int = DK_MAX_ITER) -> list:
     left to right with the same formula as CPython's complex `*`.  One reduce
     serves the first Horner run and the denominators: the Horner rows of
     every polynomial, then their denominator rows, padded on the left with
-    1+0j to one width.  The padding multiplies exactly: 1+0j times 1+0j is
-    1+0j, and 1+0j times the leading coefficient can differ from it only in
-    the sign of a zero component, which the product with x that follows does
-    not see.  The differences x - y and the added coefficients are single
-    IEEE subtractions and additions, the same in both.  The quotient
-    val / den, abs, the point update and both tests stay in Python: numpy's
-    elementwise complex `*` may use fused multiply-adds and its `/` a scaled
-    quotient, which round differently.  TestNumpyRoundingContract in
-    tests/test_spectra.py pins the two numpy assumptions by name.
+    1+0j to one width.  The padding multiplies exactly, and the leading
+    coefficient is the 1+0j padding's last column.  The differences x - y
+    and the added coefficients are single IEEE subtractions and additions,
+    the same in both.  The quotient val / den, abs, the point update and both
+    tests stay in Python: numpy's elementwise complex `*` may use fused
+    multiply-adds and its `/` a scaled quotient, which round differently.
+    TestNumpyRoundingContract in tests/test_spectra.py pins the two numpy
+    assumptions by name.
     """
-    polys = [[complex(c) for c in coeffs] for coeffs in polys]
-    for coeffs in polys:
-        if len(coeffs) < 2:
-            raise ValueError("need a nonconstant polynomial")
-        if abs(coeffs[-1] - 1) > 1e-12:
-            raise ValueError("root finder expects a monic polynomial")
-    if not polys:
-        return []
-    shapes = {_horner_runs(coeffs) for coeffs in polys}
-    if len(shapes) != 1:
-        raise ValueError("a batch needs polynomials of one shape")
-    (runs,) = shapes
     deg = len(polys[0]) - 1
-    if deg == 1:
-        return [[-coeffs[0]] for coeffs in polys]
     width = max(runs[0][0] + 1, deg)
     size = min(len(polys), max(1, DK_BATCH_BYTES // (2 * deg * width * 16)))
     others = _other_points(deg, size)
     out = []
     for start in range(0, len(polys), size):
-        out += _durand_kerner_part(polys[start : start + size], runs, width, others, max_iter)
+        out += _durand_kerner_part(polys[start : start + size], runs, width, others)
     return out
 
 
@@ -345,19 +334,20 @@ def _other_points(deg: int, size: int) -> np.ndarray:
     return others
 
 
-def _durand_kerner_part(polys, runs, width, others, max_iter) -> list:
+def _durand_kerner_part(polys, runs, width, others) -> list:
     """The outcomes of durand_kerner_batch for one part, in the order of polys."""
     import numpy as np
 
     deg = len(polys[0]) - 1
-    lead, first = width - runs[0][0] - 1, width - deg + 1  # the columns before them hold 1+0j
+    xcol, first = width - runs[0][0], width - deg + 1  # the columns before them hold 1+0j
     outcomes: list = [None] * len(polys)
     delta = [float("inf")] * len(polys)
     live = list(range(len(polys)))
     rows = 0
-    pts = []
+    pts, tol = [], []
     for coeffs in polys:
         radius = _initial_radius(coeffs)
+        tol.append(max(DK_TOL, 4 * ulp(radius)))
         pts += [radius * cmath.exp(1j * (2 * cmath.pi * k / deg + 0.4)) for k in range(deg)]
 
     def times_power(val, x, k):
@@ -369,16 +359,15 @@ def _durand_kerner_part(polys, runs, width, others, max_iter) -> list:
 
     # An overflow is reported by the finite test below, not as a numpy warning.
     with np.errstate(all="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DK_MAX_ITER):
             if len(pts) != rows:
                 # The live polynomials changed: their coefficients, once per
-                # point, and a sweep array with their leading coefficients.
+                # point, and a sweep array of 1+0j, their leading coefficient.
                 rows = len(pts)
                 given = np.repeat([polys[b] for b in live], deg, axis=0)
                 w = np.ones((2 * rows, width), complex)
-                w[:rows, lead] = given[:, deg]
             x = np.array(pts)
-            w[:rows, lead + 1 :] = x[:, None]
+            w[:rows, xcol:] = x[:, None]
             np.subtract(x[:, None], x[others[:rows]], out=w[rows:, first:])
             reduced = np.multiply.reduce(w, axis=1)
             val = reduced[:rows]
@@ -398,7 +387,7 @@ def _durand_kerner_part(polys, runs, width, others, max_iter) -> list:
                     outcomes[b] = RootFindingError("root iteration overflowed: an update is not finite")
                     continue
                 delta[b] = max(mine)
-                if delta[b] < DK_TOL:
+                if delta[b] < tol[b]:
                     outcomes[b] = pts[i * deg : (i + 1) * deg]
                 else:
                     kept.append(i)
@@ -409,7 +398,7 @@ def _durand_kerner_part(polys, runs, width, others, max_iter) -> list:
                     break
     for b in live:
         outcomes[b] = RootFindingError(
-            f"root iteration did not converge within {max_iter} sweeps (last update {delta[b]:.3e})"
+            f"root iteration did not converge within {DK_MAX_ITER} sweeps (last update {delta[b]:.3e})"
         )
     return outcomes
 
@@ -436,8 +425,8 @@ def _roots_batch(polys: list[Poly]) -> list:
                 coeffs = [complex(c) for c in factor.coeffs]
                 found[-1].append([None, mult])
                 shapes.setdefault(_horner_runs(coeffs), []).append((found[-1][-1], coeffs))
-    for batch in shapes.values():
-        for (entry, _), roots in zip(batch, durand_kerner_batch([c for _, c in batch])):
+    for runs, batch in shapes.items():
+        for (entry, _), roots in zip(batch, durand_kerner_batch([c for _, c in batch], runs)):
             entry[0] = roots
     out = []
     for factors in found:

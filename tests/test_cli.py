@@ -428,6 +428,21 @@ class TestDeterminism:
         assert pooled == run_cli(*args, "1", capsys=capsys)
 
 
+def test_verify_matches_the_benchmark_digest(capsys, monkeypatch):
+    """verify for 2 <= n <= 12 prints the result count and SHA-256 that
+    perfbench/rep.py pins, at --jobs 1 and in a pool at --jobs 2."""
+    rep = (SRC.parent / "perfbench" / "rep.py").read_text(encoding="utf-8")
+    results = int(re.search(r"^VERIFY_RESULTS = (\d+)$", rep, re.M).group(1))
+    digest = re.search(r'^VERIFY_SHA256 = "([0-9a-f]{64})"$', rep, re.M).group(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    args = ["verify", "--n-min", "2", "--n-max", "12", "--format", "json", "--jobs"]
+    for jobs in ("1", "2"):
+        code, out = run_cli(*args, jobs, capsys=capsys)
+        assert code == 0
+        assert len(json.loads(out)["result"]["results"]) == results
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"--jobs {jobs}"
+
+
 def _traced_peak(fn, *args):
     """Peak traced memory of fn(*args), in bytes."""
     tracemalloc.start()

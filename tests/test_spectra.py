@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from oddquadric import (
     tau1_eigenvalue,
     verify_diagonalization,
 )
+from oddquadric import spectra
 from oddquadric.serialize import spectrum_json
 from oddquadric.spectra import (
-    DK_MAX_ITER,
     DK_TOL,
     _eigen_selectors,
     _eigenvector_arrays,
@@ -44,6 +45,7 @@ from oddquadric.spectra import (
     located_radius,
     operator_as_array,
 )
+from oddquadric.verifier import run_check_cell
 
 CBRT4 = 4 ** (1 / 3)
 
@@ -209,9 +211,19 @@ class TestRootFinding:
         mults = sorted(m for _, m in roots)
         assert mults == [1, 3, 3, 3]
 
-    def test_nonconvergence_is_loud(self):
+    def test_nonconvergence_is_loud(self, monkeypatch):
+        monkeypatch.setattr(spectra, "DK_MAX_ITER", 1)
         with pytest.raises(RootFindingError):
-            batch_of_one([complex(-4), 0j, 0j, complex(1)], max_iter=1)
+            batch_of_one([complex(-4), 0j, 0j, complex(1)])
+
+    @pytest.mark.parametrize("e", range(6, 17))
+    def test_large_roots_converge(self, e):
+        """x^3 - 7*10^e: the ulp of its roots passes DK_TOL from e = 11 on,
+        where a purely absolute stopping test can oscillate forever."""
+        c = 7 * 10**e
+        roots = all_roots(Poly([-c, 0, 0, 1]))
+        assert [m for _, m in roots] == [1, 1, 1]
+        assert all(abs(r**3 - c) / c <= 1e-15 for r, _ in roots)
 
     @pytest.mark.parametrize(
         "coeffs", [[1e300] + [0] * 29 + [1], [1e308, 1e308, 1]], ids=["deg30", "deg2"]
@@ -302,21 +314,21 @@ class TestSpectrumReport:
         assert not spectrum_report(ctx, 3).simple
 
 
-def batch_of_one(coeffs, max_iter=DK_MAX_ITER):
+def batch_of_one(coeffs):
     """durand_kerner_batch on one polynomial: its roots, or its RootFindingError raised."""
-    (roots,) = durand_kerner_batch([coeffs], max_iter)
+    (roots,) = durand_kerner_batch([coeffs], _horner_runs(coeffs))
     if isinstance(roots, RootFindingError):
         raise roots
     return roots
 
 
-def reference_durand_kerner(coeffs, max_iter=DK_MAX_ITER):
+def reference_durand_kerner(coeffs):
     """The plain Python loop that durand_kerner_batch must reproduce bit for bit."""
     coeffs = [complex(c) for c in coeffs]
     deg = len(coeffs) - 1
-    if deg == 1:
-        return [-coeffs[0]]
     radius = _initial_radius(coeffs)
+    tol = max(DK_TOL, 4 * math.ulp(radius))
+    max_iter = spectra.DK_MAX_ITER
     pts = [radius * cmath.exp(1j * (2 * cmath.pi * k / deg + 0.4)) for k in range(deg)]
     delta = float("inf")
     for _ in range(max_iter):
@@ -334,17 +346,17 @@ def reference_durand_kerner(coeffs, max_iter=DK_MAX_ITER):
             new_pts.append(x - step)
             delta = max(delta, abs(step))
         pts = new_pts
-        if delta < DK_TOL:
+        if delta < tol:
             return pts
     raise RootFindingError(
         f"root iteration did not converge within {max_iter} sweeps (last update {delta:.3e})"
     )
 
 
-def _outcome(finder, coeffs, **kw):
+def _outcome(finder, coeffs):
     """The bits of every root, or the error message when the iteration gives up."""
     try:
-        return [(r.real.hex(), r.imag.hex()) for r in finder(coeffs, **kw)]
+        return [(r.real.hex(), r.imag.hex()) for r in finder(coeffs)]
     except RootFindingError as exc:
         return str(exc)
 
@@ -367,11 +379,11 @@ def monic_with_zero_runs(draw):
     return [complex(c) for c in coeffs[:deg]] + [1 + 0j]
 
 
-def _batch_outcomes(polys, **kw):
+def _batch_outcomes(polys):
     """_outcome of each polynomial, from one durand_kerner_batch over all of them."""
     return [
         str(r) if isinstance(r, RootFindingError) else [(z.real.hex(), z.imag.hex()) for z in r]
-        for r in durand_kerner_batch(polys, **kw)
+        for r in durand_kerner_batch(polys, _horner_runs(polys[0]))
     ]
 
 
@@ -401,51 +413,44 @@ class TestDurandKernerBitIdentity:
     @settings(max_examples=300, deadline=None)
     @given(coeffs=monic_with_zero_runs())
     def test_random_polynomials_with_zero_runs(self, coeffs):
-        assert _outcome(batch_of_one, coeffs, max_iter=80) == _outcome(
-            reference_durand_kerner, coeffs, max_iter=80
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "DK_MAX_ITER", 80)
+            assert _outcome(batch_of_one, coeffs) == _outcome(reference_durand_kerner, coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_batches_of_one_shape(self, data):
         """2-6 polynomials with one zero pattern, among them one that hits
-        max_iter and one that overflows: each outcome is the one it has alone,
-        and, short of the overflow, the plain loop's."""
+        DK_MAX_ITER and one that overflows: each outcome is the one it has
+        alone, and, short of the overflow, the plain loop's."""
         pattern = data.draw(monic_with_zero_runs())
-        deg = len(pattern) - 1
         nonzero = st.fractions(-9, 9, max_denominator=4).filter(bool)
 
-        def on_pattern(scale=1.0):
-            """Random coefficients on the pattern, with roots scaled by `scale`."""
-            return [
-                complex(data.draw(nonzero)) * scale ** (deg - j) if c else 0j
-                for j, c in enumerate(pattern[:-1])
-            ] + [1 + 0j]
+        def on_pattern():
+            """Random coefficients on the pattern."""
+            return [complex(data.draw(nonzero)) if c else 0j for c in pattern[:-1]] + [1 + 0j]
 
-        # Roots near 10^6 are 10^-10 apart as doubles, too far apart for
-        # DK_TOL; coefficients of 10^308 overflow the first sweep.
-        stalls = on_pattern(1e6)
+        # A sweep limit below what `stalls` needs; coefficients of 10^308
+        # overflow the first sweep.
+        stalls = on_pattern()
         overflows = [1e308 if c else 0j for c in pattern[:-1]] + [1 + 0j]
-        assume("did not converge" in str(_outcome(batch_of_one, stalls, max_iter=80)))
-        assume("overflowed" in str(_outcome(batch_of_one, overflows, max_iter=80)))
-        polys = [on_pattern() for _ in range(data.draw(st.integers(0, 4)))]
-        for extra in (stalls, overflows):
-            polys.insert(data.draw(st.integers(0, len(polys))), extra)
-        got = _batch_outcomes(polys, max_iter=80)
-        assert got == [_outcome(batch_of_one, c, max_iter=80) for c in polys]
-        for coeffs, outcome in zip(polys, got):
-            if coeffs is not overflows:  # the plain loop has no overflow test
-                assert outcome == _outcome(reference_durand_kerner, coeffs, max_iter=80)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectra, "DK_MAX_ITER", data.draw(st.integers(1, 80)))
+            assume("did not converge" in str(_outcome(batch_of_one, stalls)))
+            assume("overflowed" in str(_outcome(batch_of_one, overflows)))
+            polys = [on_pattern() for _ in range(data.draw(st.integers(0, 4)))]
+            for extra in (stalls, overflows):
+                polys.insert(data.draw(st.integers(0, len(polys))), extra)
+            got = _batch_outcomes(polys)
+            assert got == [_outcome(batch_of_one, c) for c in polys]
+            for coeffs, outcome in zip(polys, got):
+                if coeffs is not overflows:  # the plain loop has no overflow test
+                    assert outcome == _outcome(reference_durand_kerner, coeffs)
 
-    def test_a_batch_rejects_two_shapes(self):
-        with pytest.raises(ValueError, match="one shape"):
-            durand_kerner_batch([[-4, 0, 1], [-4, 1, 1]])
-
-    def test_nonconvergence_message_matches(self):
+    def test_nonconvergence_message_matches(self, monkeypatch):
+        monkeypatch.setattr(spectra, "DK_MAX_ITER", 1)
         coeffs = [complex(-4), 0j, 0j, complex(1)]
-        assert _outcome(batch_of_one, coeffs, max_iter=1) == _outcome(
-            reference_durand_kerner, coeffs, max_iter=1
-        )
+        assert _outcome(batch_of_one, coeffs) == _outcome(reference_durand_kerner, coeffs)
 
 
 def reference_all_roots(f):
@@ -476,12 +481,38 @@ def _alone(finder, f):
         return str(exc)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every (polys, runs) that _roots_batch hands to durand_kerner_batch."""
+    real, calls = spectra.durand_kerner_batch, []
+
+    def spy(polys, runs):
+        calls.append((polys, runs))
+        return real(polys, runs)
+
+    monkeypatch.setattr(spectra, "durand_kerner_batch", spy)
+    return calls
+
+
+def assert_kernel_precondition(calls):
+    """Each call is complex coefficient lists of one degree >= 2, each exactly
+    monic and of the shape the call names: what durand_kerner_batch no longer checks."""
+    assert calls
+    for polys, runs in calls:
+        assert polys and len({len(c) for c in polys}) == 1 and len(polys[0]) >= 3
+        for coeffs in polys:
+            assert all(type(c) is complex for c in coeffs)
+            assert repr(coeffs[-1]) == "(1+0j)"
+            assert _horner_runs(coeffs) == runs
+
+
 class TestRootsBatch:
-    def test_a_mixed_batch_gives_each_polynomial_its_own_roots(self):
+    def test_a_mixed_batch_gives_each_polynomial_its_own_roots(self, monkeypatch, kernel_calls):
         """Zero roots, linear and repeated factors, two shapes of nonlinear
-        factor and an overflowing polynomial in one batch: each polynomial gets
-        the roots, or the error, that all_roots gives it alone, and that its
-        factors give one at a time."""
+        factor, an overflowing polynomial and one that needs more sweeps than
+        DK_MAX_ITER in one batch: each polynomial gets the roots, or the
+        error, that all_roots gives it alone, and that its factors give one
+        at a time."""
         x = Poly([0, 1])
 
         def cubic(c):  # x^3 - c: one shape for every c != 0
@@ -489,6 +520,11 @@ class TestRootsBatch:
 
         def quadratic(b, c):  # x^2 + bx + c: the other shape, for b, c != 0
             return x**2 + Poly([c, b])
+
+        # Roots 1 +- 10^-6 take 30 sweeps, every other factor here at most 9.
+        close = quadratic(-2, 1 - Fraction(1, 10**12))
+        assert not isinstance(_roots_batch([close])[0], RootFindingError)
+        monkeypatch.setattr(spectra, "DK_MAX_ITER", 20)
 
         polys = [
             x**2 * cubic(4),
@@ -498,15 +534,16 @@ class TestRootsBatch:
             quadratic(2, 3) ** 2,
             (x - Poly([1])) ** 2 * cubic(-(10**308)),
             # Two failing factors: x^3 + 10^308 overflows and, second in Yun
-            # order, x^3 - 7e18 stalls; the first error is the one reported.
-            cubic(-(10**308)) * cubic(7 * 10**18) ** 2,
+            # order, `close` stalls; the first error is the one reported.
+            cubic(-(10**308)) * close**2,
         ]
         got = [_roots_bits(roots) for roots in _roots_batch(polys)]
         assert got == [_alone(all_roots, f) for f in polys]
         assert got == [_alone(reference_all_roots, f) for f in polys]
         assert got[5] == got[6] == "root iteration overflowed: an update is not finite"
-        assert "did not converge" in _alone(all_roots, cubic(7 * 10**18))
+        assert "did not converge" in _alone(all_roots, close)
         assert [m for *_, m in got[2]] == [2, 2, 2, 3]
+        assert_kernel_precondition(kernel_calls)
 
     def test_a_batch_validates_every_polynomial(self):
         with pytest.raises(ValueError, match="monic"):
@@ -519,6 +556,24 @@ class TestRootsBatch:
         ctx = make_context(n)
         for p in range(1, 2 * n):
             assert located_radius(ctx, p) == max_root_modulus(closed_form_charpoly(ctx, p))
+
+
+class TestKernelPrecondition:
+    """_roots_batch meets durand_kerner_batch's precondition on the paths verify and the benchmark take."""
+
+    def test_closed_forms(self, kernel_calls):
+        for n in range(2, 21):
+            ctx = make_context(n)
+            for p in range(1, 2 * n):
+                all_roots(closed_form_charpoly(ctx, p))
+        assert_kernel_precondition(kernel_calls)
+
+    @pytest.mark.parametrize("check", ["fpdim_consistency", "galkin"])
+    def test_verify_cells(self, check, kernel_calls):
+        spectra._closed_form_radii.cache_clear()  # located radii built before the spy
+        for n in range(2, 13):
+            assert all(r.status == "pass" for r in run_check_cell(check, n))
+        assert_kernel_precondition(kernel_calls)
 
 
 def _random_complex(rng, size):
