@@ -190,7 +190,7 @@ def cmd_verify(report):
 #: largest n or --n-max accepted or None).  The ceilings hold one run to about
 #: half a minute and 2 GB on a 2-vCPU Xeon: charpoly -n 512 takes 0.5 s at
 #: p = 19 and at most about 2 s near p = 2n - 1, where it forms ~1,000 powers,
-#: verify --n-min 2 --n-max 32 takes 6.1-7.4 s at --jobs 1 and 4.5-5.1 s at
+#: verify --n-min 2 --n-max 32 takes 5.5-5.8 s at --jobs 1 and 3.7-3.8 s at
 #: --jobs 2 (four alternating runs each), and spectrum and galkin take 3.4 s
 #: and 1.8 s at n = 10^5 (about 25 s and 12 s at 10^6).
 SUBCOMMANDS = {

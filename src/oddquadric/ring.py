@@ -20,18 +20,17 @@ entries in the half-integers.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .poly import as_fraction
 
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class QuadricContext:
+class QuadricContext(NamedTuple):
     """Family parameter n plus the derived constants of the (2n-1)-dimensional quadric."""
 
     n: int

@@ -16,11 +16,10 @@ adds one extra rounding layer.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, ulp
 from operator import sub, truediv
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .charpoly import charpoly_faddeev, closed_form_charpoly
 from .poly import Poly, squarefree_decomposition
@@ -49,14 +48,12 @@ class RootFindingError(RuntimeError):
     """Simultaneous iteration failed to converge; never a silent wrong value."""
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     value: complex
     multiplicity: int
 
 
-@dataclass
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     ctx: QuadricContext
     p: int
     eigenpairs: list[EigenPair]
@@ -64,8 +61,7 @@ class SpectrumReport:
     simple: bool
 
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(NamedTuple):
     residual_diag: float
     p_invertible: bool
 
@@ -148,16 +144,14 @@ def _eigen_selectors(ctx: QuadricContext):
 
 
 @lru_cache(maxsize=None)
-def _eigenvector_arrays(ctx: QuadricContext) -> tuple[np.ndarray, ...]:
-    """np.array(eigenvector(ctx, j)) for j in _eigen_selectors(ctx), read-only, built once per n."""
+def _eigenvector_matrix(ctx: QuadricContext) -> np.ndarray:
+    """The eigenvectors eigenvector(ctx, j) as rows, j in _eigen_selectors(ctx) order;
+    read-only, built once per n."""
     import numpy as np
 
-    arrays = []
-    for j in _eigen_selectors(ctx):
-        v = np.array(eigenvector(ctx, j))
-        v.flags.writeable = False
-        arrays.append(v)
-    return tuple(arrays)
+    e = np.array([eigenvector(ctx, j) for j in _eigen_selectors(ctx)])
+    e.flags.writeable = False
+    return e
 
 
 def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
@@ -206,7 +200,7 @@ def verify_diagonalization(ctx: QuadricContext) -> Diagonalization:
     import numpy as np
 
     a = operator_as_array(ctx, 1)
-    p = np.array(_eigenvector_arrays(ctx)).T
+    p = _eigenvector_matrix(ctx).T
     d = np.diag([operator_eigenvalue(ctx, 1, j) for j in _eigen_selectors(ctx)])
     residual = float(np.max(np.abs(a @ p - p @ d)))
     return Diagonalization(residual_diag=residual, p_invertible=_pivot_ratio(p) > PIVOT_RATIO)
@@ -515,8 +509,7 @@ def galkin_margin(n: int) -> float:
     return m * 4 ** (1 / m) - 2 * n
 
 
-@dataclass
-class GalkinResult:
+class GalkinResult(NamedTuple):
     n: int
     fpdim_c1: float
     bound: float

@@ -10,9 +10,9 @@ the assembled report is deterministic, including under parallel execution.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import serialize
 from .charpoly import (
@@ -30,7 +30,7 @@ from .spectra import (
     ROOT_MATCH_TOL,
     SHARED_EIGVEC_TOL,
     _eigen_selectors,
-    _eigenvector_arrays,
+    _eigenvector_matrix,
     corollary_32_check,
     fp_dim,
     galkin_check,
@@ -50,8 +50,7 @@ GOLDEN_A1_N2 = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     n: int
     p: int  # -1 for per-n checks
@@ -60,12 +59,11 @@ class CheckResult:
     witness: dict | None = None
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     tool_version: str
     n_range: tuple[int, int]
-    results: list[CheckResult] = field(default_factory=list)
-    summary: dict[str, dict[str, int]] = field(default_factory=dict)
+    results: list[CheckResult]
+    summary: dict[str, dict[str, int]]
 
     @property
     def all_passed(self) -> bool:
@@ -238,11 +236,18 @@ def _check_simultaneous_diag(n, p):
 
     ctx = make_context(n)
     a = operator_as_array(ctx, p)
-    # np.max, unlike max(), carries a NaN residual through, so the test below fails it.
-    worst = float(np.max([
-        np.max(np.abs(a @ v - operator_eigenvalue(ctx, p, j) * v))
-        for j, v in zip(_eigen_selectors(ctx), _eigenvector_arrays(ctx))
-    ]))
+    e = _eigenvector_matrix(ctx)
+    mu = np.array([operator_eigenvalue(ctx, p, j) for j in _eigen_selectors(ctx)])
+    # av = e @ a.T, summed over the nonzeros of a only (row j is A_p v_j), so
+    # no BLAS call starts threads that contend with the pool's workers (from
+    # n = 24 on).  A_p has at most two nonzeros per row, each 1 or 2: every
+    # entry is one rounding of exact products, the bits of one A_p v_j per
+    # eigenvector.  mu[:, None] * e scales each row by its scalar, as mu_j * v_j
+    # does, and np.max carries a NaN residual through, so the test below fails it.
+    rows, cols = np.nonzero(a)
+    av = np.zeros_like(e)
+    np.add.at(av, (slice(None), rows), e[:, cols] * a[rows, cols])
+    worst = float(np.max(np.abs(av - mu[:, None] * e)))
     if worst <= SHARED_EIGVEC_TOL:
         return True, f"shared eigenvectors hold, worst residual {worst:.3e}", None
     return False, f"shared-eigenvector residual {worst:.3e} exceeds {SHARED_EIGVEC_TOL:g}", {

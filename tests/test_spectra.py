@@ -37,7 +37,7 @@ from oddquadric.serialize import spectrum_json
 from oddquadric.spectra import (
     DK_TOL,
     _eigen_selectors,
-    _eigenvector_arrays,
+    _eigenvector_matrix,
     _horner_runs,
     _initial_radius,
     _roots_batch,
@@ -157,14 +157,26 @@ class TestFloatPathReference:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_cached_eigenvectors_match_a_fresh_build(self, n):
         ctx = make_context(n)
-        arrays = _eigenvector_arrays(ctx)
-        assert _eigenvector_arrays(make_context(n)) is arrays
-        assert len(arrays) == len(_eigen_selectors(ctx))
-        for j, v in zip(_eigen_selectors(ctx), arrays):
+        e = _eigenvector_matrix(ctx)
+        assert _eigenvector_matrix(make_context(n)) is e
+        assert e.shape == (2 * n, 2 * n) and e.flags.c_contiguous
+        assert not e.flags.writeable
+        for j, v in zip(_eigen_selectors(ctx), e):
             want = np.array(eigenvector(ctx, j))
             assert v.dtype == want.dtype and v.shape == want.shape
             assert v.tobytes() == want.tobytes()
-            assert not v.flags.writeable
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_operator_entries_are_one_or_two(self, n):
+        """Every nonzero of every A_p is 1 or 2, at most two per row and per
+        column: the premise that makes each entry of simultaneous_diag's
+        product e @ a.T one rounding, whatever the summation order."""
+        ctx = make_context(n)
+        for p in range(2 * n):
+            a = operator_as_array(ctx, p)
+            nonzero = a != 0
+            assert set(np.unique(a[nonzero])) <= {1.0, 2.0}, p
+            assert nonzero.sum(axis=1).max() <= 2 and nonzero.sum(axis=0).max() <= 2, p
 
 
 class TestFpDim:

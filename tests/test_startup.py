@@ -1,4 +1,5 @@
-"""Start-up cost: a process loads numpy only when it runs it, and no pool library ever."""
+"""Start-up cost: a process loads numpy only when it runs it, and no pool library or
+`dataclasses` ever."""
 
 import json
 import os
@@ -26,7 +27,7 @@ if sys.argv[1:]:
     from oddquadric.cli import main
     with redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
-heavy = ("numpy", "concurrent.futures", "multiprocessing")
+heavy = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses")
 print(json.dumps([code, sorted(m for m in heavy if m in sys.modules), len(forks)]))
 """
 

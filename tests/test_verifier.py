@@ -347,6 +347,50 @@ def test_without_fork_every_run_is_in_process(monkeypatch, two_cpus):
     assert report == serialize.report_json(run_suite(2, 3, checks=["grading"], jobs=1))
 
 
+RECORDS = {
+    "QuadricContext": (lambda: make_context(3), ("n",)),
+    "EigenPair": (lambda: spectra.closed_eigenvalues(make_context(3), 1)[1], ("value", "multiplicity")),
+    "SpectrumReport": (
+        lambda: spectra.spectrum_report(make_context(3), 2),
+        ("ctx", "p", "eigenpairs", "fp_dim", "simple"),
+    ),
+    "Diagonalization": (
+        lambda: spectra.verify_diagonalization(make_context(3)),
+        ("residual_diag", "p_invertible"),
+    ),
+    "GalkinResult": (
+        lambda: spectra.galkin_check(make_context(3)),
+        ("n", "fpdim_c1", "bound", "margin", "passed", "cross_residual"),
+    ),
+    "CheckResult": (
+        lambda: verifier.CheckResult("grading", 3, 1, "fail", "detail", {"row": 0}),
+        ("check_id", "n", "p", "status", "detail", "witness"),
+    ),
+    "VerificationReport": (
+        lambda: run_suite(2, 3, checks=["grading"]),
+        ("tool_version", "n_range", "results", "summary"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_pickle_and_refuse_assignment(name):
+    """Every result record keeps its fields in order, survives the pickle round
+    trip a pool worker's results take, and refuses assignment to a field."""
+    import pickle
+
+    make, fields = RECORDS[name]
+    record = make()
+    assert type(record).__name__ == name
+    assert record._fields == fields
+    assert tuple(record) == tuple(getattr(record, f) for f in fields)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record) and back == record
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, None)
+
+
 def _reference_details(n):
     """diagonalization and simultaneous_diag details computed from the dense
     Fraction view, with every eigenvector array built afresh for each use."""
@@ -370,7 +414,7 @@ def _reference_details(n):
     return diag, shared
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_numeric_details_match_the_dense_reference(n):
     diag, shared = _reference_details(n)
     assert [r.detail for r in run_check_cell("diagonalization", n)] == [diag]
@@ -523,6 +567,22 @@ def test_simultaneous_diag_fails_on_a_nan_residual(monkeypatch):
     results = run_check_cell("simultaneous_diag", 3)
     assert [r.status for r in results] == ["fail"] * 5
     assert results[0].detail == "shared-eigenvector residual nan exceeds 1e-08"
+
+
+def test_simultaneous_diag_sums_every_nonzero(monkeypatch):
+    """A dense perturbation of A_p (2n nonzeros in every row) fails the check,
+    with the residual of the dense product."""
+    real = verifier.operator_as_array
+    monkeypatch.setattr(verifier, "operator_as_array", lambda ctx, p: real(ctx, p) + 1e-3)
+    results = run_check_cell("simultaneous_diag", 3)
+    assert [r.status for r in results] == ["fail"] * 5
+    ctx = make_context(3)
+    for p, r in zip(range(1, 6), results):
+        a = real(ctx, p) + 1e-3
+        e = np.array([eigenvector(ctx, j) for j in spectra._eigen_selectors(ctx)])
+        mu = np.array([operator_eigenvalue(ctx, p, j) for j in spectra._eigen_selectors(ctx)])
+        dense = float(np.max(np.abs(e @ a.T - mu[:, None] * e)))
+        assert r.witness["residual"] == pytest.approx(dense, rel=1e-12)
 
 
 def test_corollary32_fails_on_a_nan_eigenvalue(monkeypatch):
