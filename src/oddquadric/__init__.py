@@ -17,7 +17,6 @@ from .charpoly import (
 from .poly import Poly, X, poly_gcd, squarefree_decomposition
 from .ring import (
     Matrix,
-    Operator,
     QuadricContext,
     basis_vector,
     build_a1,
@@ -60,7 +59,6 @@ __all__ = [
     "EigenPair",
     "GalkinResult",
     "Matrix",
-    "Operator",
     "Poly",
     "QuadricContext",
     "RootFindingError",

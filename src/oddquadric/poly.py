@@ -144,6 +144,10 @@ class Poly:
         den = self._den
         return tuple(Fraction(v, den) for v in self._num)
 
+    def int_form(self) -> tuple[int, tuple[int, ...]]:
+        """Denominator den and the integer coefficients of den*self, ascending."""
+        return self._den, self._num
+
     @property
     def degree(self) -> int:
         return len(self._num) - 1

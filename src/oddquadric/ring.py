@@ -230,27 +230,6 @@ def _shift_diagonal(rows: list[dict[int, int]], c: int) -> list[dict[int, int]]:
     return rows
 
 
-class Operator(Matrix):
-    """Multiplication-by-t_p matrix, tagged with its context and degree.
-
-    Column i holds the coefficients of t_p * t_i.  rows is dense rows or a
-    Matrix, whose exact state is shared.  Every entry must be a half integer,
-    so the common denominator is 1 or 2; anything else raises ValueError.
-    """
-
-    __slots__ = ("ctx", "p")
-
-    def __init__(self, ctx: QuadricContext, p: int, rows):
-        if isinstance(rows, Matrix):
-            self.size, self._s, self._rows = rows.size, rows._s, rows._rows
-        else:
-            super().__init__(rows)
-        if self._s > 2:
-            raise ValueError("operator entries must be half-integers")
-        self.ctx = ctx
-        self.p = p
-
-
 def basis_vector(ctx: QuadricContext, p: int) -> Vector:
     """Coordinate vector of the basis class t_p."""
     check_index(ctx, p)
@@ -276,7 +255,7 @@ def chevalley_column(ctx: QuadricContext, p: int) -> tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def build_a1(ctx: QuadricContext) -> Operator:
+def build_a1(ctx: QuadricContext) -> Matrix:
     """The 2n x 2n matrix of multiplication by the degree-one class.
 
     Column p holds the pairs chevalley_column(ctx, p), which go straight into
@@ -289,7 +268,7 @@ def build_a1(ctx: QuadricContext) -> Operator:
             if not isinstance(v, int) or not v:
                 raise ValueError(f"Chevalley coefficients must be nonzero integers, got {v!r}")
             rows[i][p] = v
-    return Operator(ctx, 1, Matrix._exact(ctx.basis_size, 1, rows))
+    return Matrix._exact(ctx.basis_size, 1, rows)
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +285,7 @@ def _powers(a1: Matrix) -> list[Matrix]:
 # typed: True == 1 and hash(True) == hash(1), so an untyped cache would let
 # build_ap(ctx, True) skip check_index and return A_1.
 @lru_cache(maxsize=None, typed=True)
-def build_ap(ctx: QuadricContext, p: int) -> Operator:
+def build_ap(ctx: QuadricContext, p: int) -> Matrix:
     """The matrix of multiplication by the basis class t_p.
 
     t_0 acts as the identity; below the middle degree the operator is a plain
@@ -324,7 +303,7 @@ def build_ap(ctx: QuadricContext, p: int) -> Operator:
     if p == ctx.dim:
         s, rows = mat.int_form()
         mat = Matrix._exact(mat.size, s, _shift_diagonal(list(rows), -s))
-    return Operator(ctx, p, mat)
+    return mat
 
 
 def star_multiply(ctx: QuadricContext, a, b) -> Vector:

@@ -45,7 +45,9 @@ GALKIN_CROSSCHECK_MAX_N = 12
 
 
 class RootFindingError(RuntimeError):
-    """Simultaneous iteration failed to converge; never a silent wrong value."""
+    """Roots not found: a squarefree factor has a coefficient outside the
+    double range, or its simultaneous iteration overflowed or did not
+    converge.  Never a silent wrong value."""
 
 
 class EigenPair(NamedTuple):
@@ -186,7 +188,8 @@ def _pivot_ratio(p: np.ndarray) -> float:
         if piv == 0:
             break
         a[c + 1 :, c:] -= np.outer(a[c + 1 :, c] / piv, a[c, c:])
-    return min(pivots) / max(pivots)
+    # a Python float, so p_invertible is a bool that a failure witness can serialize
+    return float(min(pivots) / max(pivots))
 
 
 def verify_diagonalization(ctx: QuadricContext) -> Diagonalization:
@@ -400,8 +403,10 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
 def _roots_batch(polys: list[Poly]) -> list:
     """all_roots of each polynomial, or the first RootFindingError of its factors in Yun order.
 
-    Linear factors are read exactly; the nonlinear factors of all the
-    polynomials are found together, one durand_kerner_batch per shape.
+    Each factor is converted to doubles once, and one with a coefficient
+    outside the double range fails its own polynomial only.  Linear factors
+    are read exactly; the nonlinear factors of all the polynomials are found
+    together, one durand_kerner_batch per shape.
     """
     found = []  # per polynomial: [roots or error, multiplicity] per factor
     shapes: dict[tuple, list] = {}  # per shape: (a nonlinear factor's entry in found, coefficients)
@@ -413,10 +418,17 @@ def _roots_batch(polys: list[Poly]) -> list:
         k, g = f.strip_zero_roots()
         found.append([[[0j], k]] if k else [])
         for factor, mult in squarefree_decomposition(g) if g.degree > 0 else ():
+            den, num = factor.int_form()
+            try:  # one int/int division per coefficient, the float that float(Fraction) gives
+                coeffs = [v / den for v in num]
+            except OverflowError:
+                error = RootFindingError("a coefficient of a squarefree factor is outside the double range")
+                found[-1].append([error, mult])
+                continue
             if factor.degree == 1:
-                found[-1].append([[complex(-factor.coeffs[0])], mult])
+                found[-1].append([[complex(-coeffs[0])], mult])
             else:
-                coeffs = [complex(c) for c in factor.coeffs]
+                coeffs = list(map(complex, coeffs))
                 found[-1].append([None, mult])
                 shapes.setdefault(_horner_runs(coeffs), []).append((found[-1][-1], coeffs))
     for runs, batch in shapes.items():

@@ -88,6 +88,43 @@ def reference_operators(ctx):
         ]
 
 
+def presentation_class(ctx, p):
+    """t_p in Q[x]/(x^(2n) - 4x), the ring's presentation at q = 1, as
+    {exponent: coefficient}: x^p below the middle degree, x^p/2 from the
+    middle to 2n - 2, and x^(2n-1)/2 - 1 at the point class."""
+    n, m = ctx.n, ctx.dim
+    if p < n:
+        return {p: Fraction(1)}
+    if p < m:
+        return {p: Fraction(1, 2)}
+    return {m: Fraction(1, 2), 0: Fraction(-1)}
+
+
+def monomial_in_t_basis(ctx, k):
+    """x^k for k < 2n in the t-basis, as {degree: coefficient}: the inverse of
+    presentation_class, case by case."""
+    n, m = ctx.n, ctx.dim
+    if k < n:
+        return {k: 1}
+    if k < m:
+        return {k: 2}
+    return {m: 2, 0: 2}
+
+
+def table_product(ctx, p, r):
+    """t_p * t_r in the t-basis, multiplied in Q[x]/(x^(2n) - 4x) and never
+    through an operator matrix; zero coefficients are dropped."""
+    out = {}
+    for a, u in presentation_class(ctx, p).items():
+        for b, v in presentation_class(ctx, r).items():
+            k, c = a + b, u * v
+            if k > ctx.dim:  # x^k = x^(k-2n) * x^(2n) = 4 x^(k-2n+1), with k - 2n + 1 < 2n
+                k, c = k - ctx.dim, 4 * c
+            for i, w in monomial_in_t_basis(ctx, k).items():
+                out[i] = out.get(i, 0) + c * w
+    return {i: c for i, c in out.items() if c}
+
+
 class TestContext:
     @pytest.mark.parametrize(
         "n,dim,basis_size",
@@ -350,6 +387,20 @@ class TestRingInvariants:
                 for i, v in enumerate(row):
                     if v:
                         assert (j - i - p) % m == 0
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_columns_match_the_product_table(self, n):
+        """Column r of every A_p is t_p * t_r from the presentation: a wrong
+        halving or point-class rule in build_ap fails here."""
+        ctx = make_context(n)
+        for p in range(2 * n):
+            s, rows = build_ap(ctx, p).int_form()
+            columns = {}
+            for i, row in enumerate(rows):
+                for r, v in row.items():
+                    columns.setdefault(r, {})[i] = Fraction(v, s)
+            for r in range(2 * n):
+                assert columns.get(r, {}) == table_product(ctx, p, r), (p, r)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cayley_hamilton_consequence(self, n):

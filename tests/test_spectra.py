@@ -244,6 +244,22 @@ class TestRootFinding:
         with pytest.raises(RootFindingError, match="not finite"):
             all_roots(Poly(coeffs))
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Poly([-(10**400), 0, 1]),
+            Poly([-(10**400), 1]),
+            Poly([0, 1]) * Poly([-(10**309), 1]) ** 2,
+            Poly([3 * 10**221, 2 * 10**308, 3 * 10**257, 1]),
+        ],
+        ids=["x2_minus_1e400", "x_minus_1e400", "repeated_1e309", "cubic_2e308"],
+    )
+    def test_coefficient_outside_the_double_range_is_loud(self, f):
+        """A factor no double can hold fails with its own cause, although the
+        roots of x^2 - 10^400 would be doubles."""
+        with pytest.raises(RootFindingError, match="outside the double range"):
+            all_roots(f)
+
     def test_against_numpy_roots(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -556,6 +572,12 @@ class TestRootsBatch:
         assert "did not converge" in _alone(all_roots, close)
         assert [m for *_, m in got[2]] == [2, 2, 2, 3]
         assert_kernel_precondition(kernel_calls)
+
+    def test_an_out_of_range_coefficient_fails_only_its_polynomial(self):
+        good, bad = Poly([-4, 0, 0, 1]), Poly([-(10**400), 0, 1])
+        got = [_roots_bits(roots) for roots in _roots_batch([good, bad])]
+        assert got[0] == _alone(all_roots, good) == _alone(reference_all_roots, good)
+        assert got[1] == "a coefficient of a squarefree factor is outside the double range"
 
     def test_a_batch_validates_every_polynomial(self):
         with pytest.raises(ValueError, match="monic"):

@@ -435,17 +435,22 @@ def test_checks_read_no_dense_view(monkeypatch):
     assert sorted(report.summary) == checks
 
 
-def test_commutativity_check_can_fail(monkeypatch):
-    real = verifier.build_ap
+def _with_an_entry_at_origin(real):
+    """build_ap with 1 added to the (0, 0) entry of A_2 at n = 3."""
 
     def mutated(ctx, p):
         op = real(ctx, p)
-        if ctx.n == 3 and p == 2:  # add 1 to the (0, 0) entry of A_2
+        if ctx.n == 3 and p == 2:
             rows = [list(row) for row in op.rows]
             rows[0][0] += 1
-            return ring.Operator(ctx, p, rows)
+            return ring.Matrix(rows)
         return op
 
+    return mutated
+
+
+def test_commutativity_check_can_fail(monkeypatch):
+    mutated = _with_an_entry_at_origin(verifier.build_ap)
     monkeypatch.setattr(verifier, "build_ap", mutated)
     assert [r.status for r in run_check_cell("commutativity", 2)] == ["pass"]
     (result,) = run_check_cell("commutativity", 3)
@@ -475,7 +480,7 @@ def test_unit_column_check_can_fail(monkeypatch, factor, degrees, entry):
 
     def mutated(ctx, p):
         op = real(ctx, p)
-        return ring.Operator(ctx, p, op.scale(factor)) if p in degrees else op
+        return op.scale(factor) if p in degrees else op
 
     monkeypatch.setattr(verifier, "build_ap", mutated)
     results = run_check_cell("unit_column", 3)
@@ -488,6 +493,75 @@ def test_unit_column_check_can_fail(monkeypatch, factor, degrees, entry):
             "expected": ["1" if i == p else "0" for i in range(6)],
             "got": [entry if i == p else "0" for i in range(6)],
         }
+
+
+def _without_doubling(ctx):
+    """A_1 with the doubling entry t_1 * t_{n-1} = 2 t_n set to 1."""
+    _, rows = ring.build_a1(ctx).int_form()
+    rows = [dict(row) for row in rows]
+    rows[ctx.n][ctx.n - 1] = 1
+    return ring.Matrix._exact(ctx.basis_size, 1, rows)
+
+
+def test_cayley_hamilton_check_can_fail(monkeypatch):
+    monkeypatch.setattr(verifier, "build_a1", _without_doubling)
+    (result,) = run_check_cell("cayley_hamilton", 3)
+    assert result.status == "fail"
+    assert result.detail == "A^(2n) != 4A"
+    a = _without_doubling(make_context(3))
+    assert result.witness == {  # the mutated operator satisfies A^(2n) = 2A instead
+        "lhs": serialize.matrix_json(a.scale(2)),
+        "rhs": serialize.matrix_json(a.scale(4)),
+    }
+
+
+def test_grading_check_can_fail(monkeypatch):
+    # the entry at (0, 0) of A_2 has degree 0 - 0 - 2 = 3 (mod 5), not 0
+    monkeypatch.setattr(verifier, "build_ap", _with_an_entry_at_origin(verifier.build_ap))
+    results = run_check_cell("grading", 3)
+    assert [r.p for r in results if r.status == "fail"] == [2]
+    assert results[1].detail == "nonzero entry at (0,0) violates degree grading"
+    assert results[1].witness == {"row": 0, "col": 0, "entry": "1"}
+
+
+def test_diagonalization_check_can_fail(monkeypatch):
+    real = spectra.operator_eigenvalue
+
+    def moved(ctx, p, j):  # the eigenvalue of eigenvector 0 of A_1 moved by 1e-6
+        return real(ctx, p, j) + (1e-6 if (p, j) == (1, 0) else 0)
+
+    monkeypatch.setattr(spectra, "operator_eigenvalue", moved)
+    (result,) = run_check_cell("diagonalization", 3)
+    assert result.status == "fail"
+    assert result.detail.endswith("eigenvector matrix invertible")
+    assert result.witness["p_invertible"] is True
+    # column 1 of P*D moves by 1e-6 times the eigenvector of 4^(1/5), whose
+    # largest coordinate is its t_3 entry 4^(2/5)
+    assert result.witness["residual"] == pytest.approx(1e-6 * 4 ** (2 / 5), rel=1e-6)
+
+
+def test_simplicity_gcd_check_can_fail(monkeypatch):
+    monkeypatch.setattr(verifier, "all_roots_simple", lambda f: True)
+    results = run_check_cell("simplicity_gcd", 5)
+    # gcd(p, 9) > 1 for p = 3 and 6, and the point class has the root 1 nine times
+    assert [r.p for r in results if r.status == "fail"] == [3, 6, 9]
+    for p, g in [(3, 3), (6, 3), (9, 9)]:
+        assert results[p - 1].detail == "squarefree test contradicts the gcd criterion"
+        assert results[p - 1].witness == {
+            "squarefree_simple": True,
+            "gcd": g,
+            "charpoly": serialize.poly_json(closed_form_charpoly(make_context(5), p)),
+        }
+
+
+def test_galkin_check_can_fail(monkeypatch):
+    real = spectra.max_root_modulus
+    monkeypatch.setattr(spectra, "max_root_modulus", lambda f: real(f) + 1e-6)
+    (result,) = run_check_cell("galkin", 3)
+    assert result.status == "fail"
+    assert result.witness["margin"] > 0  # the closed-form bound holds; the cross-check does not
+    assert result.witness["cross_residual"] == pytest.approx(1e-6, rel=1e-6)
+    assert result.detail.endswith("root cross-check residual 1.000e-06")
 
 
 def _unsigned_cofactor(m):
@@ -531,8 +605,8 @@ def test_commutativity_needs_a_cyclic_degree_one_operator(monkeypatch):
         op = real(ctx, p)
         if ctx.n == 3 and p in (1, 2):
             rows = [list(row) for row in (ring.Matrix.identity(6) if p == 1 else op).rows]
-            rows[0][0] += p - 1  # A_2 gains 1 at (0, 0), as in the test above
-            return ring.Operator(ctx, p, rows)
+            rows[0][0] += p - 1  # A_2 gains 1 at (0, 0), as in _with_an_entry_at_origin
+            return ring.Matrix(rows)
         return op
 
     monkeypatch.setattr(verifier, "build_ap", mutated)
