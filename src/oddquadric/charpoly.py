@@ -15,8 +15,10 @@ with d = gcd(p, 2n-1).  All three paths produce monic polynomials of degree
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from math import comb
 
-from .poly import Poly, X, poly_gcd
+from .poly import Poly, poly_gcd
 from .ring import Matrix, QuadricContext, _product_rows, _shift_diagonal, check_index
 
 #: Cofactor expansion is an oracle for small sizes only; it is exponential.
@@ -29,31 +31,45 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     The recursion runs on the integer matrix C = s*M kept by Matrix (for an
     integer matrix all intermediates are integers); the coefficients are then
     rescaled through the identity det(lam*I - C/s) = s^-N det((s*lam)*I - C).
-    M_k and C*M_k are sparse rows {column: value} with no stored zeros: the
-    ring's product kernel merges the rows of M_k that each row of C selects,
-    the trace reads the diagonal, and the ring's diagonal-shift kernel adds
-    c*I.  A step costs the nonzeros of the selected M_k rows.  For the
-    operators, whose M_k are short polynomials in C, that is O(N) per step and
-    O(N^2) per operator in every case measured (every M_k has at most N + 2
-    nonzeros for every p at n <= 16 and n in {24, 32, 64}); a dense matrix
-    fills its rows and costs O(N^4).
+    Each row of M_k and C*M_k is an integer multiplier times a shared,
+    never-mutated sparse row {column: value} with no stored zeros.  The ring's
+    product kernel gives a row of C with a single nonzero (t, x) the row t of
+    M_k itself, under x times its multiplier, and merges the rows of M_k that
+    any other row of C selects into a new row under multiplier 1.  The trace
+    sums multiplier times diagonal entry, and only a step whose coefficient
+    is nonzero calls the ring's diagonal-shift kernel, which multiplies the
+    rows out and adds c*I.  So a step costs one multiply per single nonzero
+    of C other than 1, the nonzeros of the M_k rows the other rows of C
+    select, and O(N) bulk gathers; a step that shifts also copies every row.
+    The operators' rows hold one or two nonzeros, mostly one, and their M_k
+    are short polynomials in C: O(N) per step and O(N^2) per operator in
+    every case measured (every M_k has at most N + 2 nonzeros for every p at
+    n <= 16 and n in {24, 32, 64}); a dense matrix fills its rows and costs
+    O(N^4).
     """
     s, a = m.int_form()
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
-    pairs = [tuple(row.items()) for row in a]
+    sel = m._selections()
     c = [0] * (n + 1)
     c[n] = 1
-    mk = [{i: 1} for i in range(n)]
+    mk, scale = [{i: 1} for i in range(n)], [1] * n
     for k in range(1, n + 1):
         # P = C * M_k; its trace yields the next coefficient, and M_{k+1} = P + c*I.
-        prod = _product_rows(pairs, mk)
-        t = sum(row.get(i, 0) for i, row in enumerate(prod))
+        mk, scale = _product_rows(sel, mk, scale)
+        # Under unit multipliers the trace needs no product, which would copy
+        # each large diagonal entry of the point class; otherwise only the
+        # rows that hold their diagonal entry are multiplied.
+        if scale.count(1) == n:
+            t = sum(map(dict.get, mk, range(n), repeat(0, n)))
+        else:
+            t = sum(x * row[i] for i, row, x in zip(range(n), mk, scale) if i in row)
         if t % k:
             raise ArithmeticError("trace recursion left a nonintegral coefficient")
         c[n - k] = -(t // k)
-        mk = _shift_diagonal(prod, c[n - k])
+        if c[n - k]:
+            mk, scale = _shift_diagonal(mk, scale, c[n - k])
     # Cayley-Hamilton: the last step's C*M_N + c_0*I must vanish, so every row
     # must be empty; cheap exactness guard.
     if any(mk):
@@ -126,12 +142,18 @@ def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
         raise ValueError("no closed form for p = 0; use charpoly_faddeev on the identity")
     n = ctx.n
     if p == 2 * n - 1:
-        f = (X - Poly([1])) ** (2 * n - 1) * (X + Poly([1]))
+        # (lam - 1)^(2n-1) * (lam + 1) = (lam - 1)^(2n-1) + lam * (lam - 1)^(2n-1)
+        a = [comb(p, k) * (-1) ** (p - k) for k in range(p + 1)]
+        f = Poly.from_ints([x + y for x, y in zip(a + [0], [0] + a)])
     else:
         d = ctx.d(p)
         m = (2 * n - 1) // d
         e = 2 * p // d if p < n else (2 * p - (2 * n - 1)) // d
-        f = (Poly([-(2**e)] + [0] * (m - 1) + [1]) ** d) * X
+        # lam * (lam^m - 2^e)^d = sum over i of comb(d, i) * (-2^e)^(d-i) * lam^(m*i + 1)
+        num = [0] * (m * d + 2)
+        for i in range(d + 1):
+            num[m * i + 1] = comb(d, i) * (-(2**e)) ** (d - i)
+        f = Poly.from_ints(num)
     if not (f.is_monic and f.degree == 2 * n):
         raise ArithmeticError(f"closed form for n={n}, p={p} is not monic of degree {2 * n}")
     return f

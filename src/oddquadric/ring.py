@@ -83,7 +83,7 @@ class Matrix:
     that writes them.
     """
 
-    __slots__ = ("size", "_s", "_rows")
+    __slots__ = ("size", "_s", "_rows", "_sel")
 
     def __init__(self, rows):
         rows = [[as_fraction(v) for v in row] for row in rows]
@@ -105,6 +105,7 @@ class Matrix:
         self.size = size
         self._s = s
         self._rows = tuple(rows)
+        self._sel = None
 
     @staticmethod
     def _exact(size: int, s: int, rows) -> "Matrix":
@@ -146,12 +147,20 @@ class Matrix:
         matrix's own and may be shared with other matrices: read them only."""
         return self._s, self._rows
 
+    def _selections(self):
+        """The integer rows in the form _product_rows reads, formed on first
+        use and kept, since the rows never change."""
+        if self._sel is None:
+            self._sel = _row_selections(self._rows)
+        return self._sel
+
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if other.size != self.size:
             raise ValueError("size mismatch")
-        rows = _product_rows([row.items() for row in self._rows], other._rows)
+        rows, scale = _product_rows(self._selections(), other._rows, [1] * self.size)
+        rows, _ = _shift_diagonal(rows, scale, 0)
         return Matrix._exact(self.size, self._s * other._s, rows)
 
     def __pow__(self, k: int) -> "Matrix":
@@ -170,7 +179,10 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         c = as_fraction(c)
         x = c.numerator
-        rows = [{j: v * x for j, v in row.items()} if x else {} for row in self._rows]
+        if x == 1:
+            rows = self._rows  # rows are never mutated, so they can be shared
+        else:
+            rows = [{j: v * x for j, v in row.items()} if x else {} for row in self._rows]
         return Matrix._exact(self.size, self._s * c.denominator, rows)
 
     def apply(self, vec) -> Vector:
@@ -188,46 +200,75 @@ class Matrix:
         return tuple(Fraction(sum(v * w[j] for j, v in row.items()), sd) for row in self._rows)
 
 
-def _product_rows(a, b) -> list[dict[int, int]]:
-    """The package's one sparse product kernel: the integer rows of C*D, as
-    {column: value} dicts without zeros, for rows a of C given as sized
-    iterables of (column, value) pairs and dict rows b of D.
-
-    Row i is the sum of x * b[t] over the pairs (t, x) of a[i]; a single pair
-    (t, 1) shares b[t] itself, so no row may ever be mutated.  A product costs
-    the nonzeros of C times the length of the rows of D they select.
-    """
-    rows = []
-    for row in a:
+def _row_selections(rows) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, tuple]]]:
+    """The {column: value} rows of an integer matrix C in the form that
+    _product_rows reads: the column t that each row with a single pair (t, x)
+    selects (0 for any other row), the (row, x) of each single pair with
+    x != 1, and the (row, pairs) of each row with zero or several pairs."""
+    targets, scaled, merged = [], [], []
+    for i, row in enumerate(rows):
         if len(row) == 1:
-            ((t, x),) = row
-            if x == 1:
-                rows.append(b[t])
-                continue
+            ((t, x),) = row.items()
+            if x != 1:
+                scaled.append((i, x))
+        else:
+            t = 0
+            merged.append((i, tuple(row.items())))
+        targets.append(t)
+    return targets, scaled, merged
+
+
+def _product_rows(a, b, scale) -> tuple[list, list[int]]:
+    """The package's one sparse product kernel: the rows of C*D, for C given
+    as _row_selections(rows of C) and the rows of D given as scale[t] * b[t],
+    an integer multiplier times a {column: value} dict.
+
+    The rows of C*D come back in the same form.  Row i is the sum of
+    x * scale[t] * b[t] over the pairs (t, x) of row i of C.  A single pair
+    shares b[t] itself under the multiplier x * scale[t], so no row may ever
+    be mutated; any other row is merged into a new dict under multiplier 1.
+    A product costs one multiply per single pair with x != 1, plus the
+    nonzeros of the other rows of C times the length of the rows of D they
+    select; the shared rows and their multipliers are gathered in bulk.
+    """
+    targets, scaled, merged = a
+    rows = list(map(b.__getitem__, targets))
+    out = list(map(scale.__getitem__, targets))
+    for i, x in scaled:
+        out[i] *= x
+    for i, pairs in merged:
         acc: dict[int, int] = {}
-        for t, x in row:
+        for t, x in pairs:
+            x *= scale[t]
             for j, v in b[t].items():
                 acc[j] = acc.get(j, 0) + x * v
-        rows.append(acc if all(acc.values()) else {j: v for j, v in acc.items() if v})
-    return rows
+        rows[i] = acc if all(acc.values()) else {j: v for j, v in acc.items() if v}
+        out[i] = 1
+    return rows, out
 
 
-def _shift_diagonal(rows: list[dict[int, int]], c: int) -> list[dict[int, int]]:
-    """The package's one diagonal-shift kernel: rows + c*I for integer rows.
+def _shift_diagonal(rows: list, scale: list[int], c: int) -> tuple[list, list[int]]:
+    """The package's one diagonal-shift kernel: scale[i] * rows[i] + c*I, as
+    {column: value} dicts without zeros under unit multipliers.
 
-    Each diagonal entry gains c, and a zero is dropped.  The list is updated
-    in place, but each changed row is a copy, since a row may be shared with
-    another matrix.
+    A row under a multiplier other than 1 is multiplied out into a new dict.
+    Then each diagonal entry gains c, and a zero is dropped; the list may be
+    updated in place, but each changed row is a copy, since a row may be
+    shared with another matrix.  c = 0 only multiplies out.
     """
+    if scale.count(1) < len(rows):
+        rows = [
+            row if x == 1 else {j: x * v for j, v in row.items()} for row, x in zip(rows, scale)
+        ]
     if c:
         for i, row in enumerate(rows):
-            row = rows[i] = dict(row)
+            row = rows[i] = row.copy()
             x = row.get(i, 0) + c
             if x:
                 row[i] = x
             else:
                 del row[i]
-    return rows
+    return rows, [1] * len(rows)
 
 
 def basis_vector(ctx: QuadricContext, p: int) -> Vector:
@@ -302,7 +343,8 @@ def build_ap(ctx: QuadricContext, p: int) -> Matrix:
         mat = mat.scale(Fraction(1, 2))
     if p == ctx.dim:
         s, rows = mat.int_form()
-        mat = Matrix._exact(mat.size, s, _shift_diagonal(list(rows), -s))
+        rows, _ = _shift_diagonal(list(rows), [1] * mat.size, -s)
+        mat = Matrix._exact(mat.size, s, rows)
     return mat
 
 

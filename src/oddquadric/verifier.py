@@ -23,7 +23,7 @@ from .charpoly import (
     COFACTOR_DIM_LIMIT,
 )
 from .poly import Poly
-from .ring import Matrix, _product_rows, basis_vector, build_a1, build_ap, make_context
+from .ring import Matrix, _product_rows, _shift_diagonal, basis_vector, build_a1, build_ap, make_context
 from .spectra import (
     DIAG_RESIDUAL_TOL,
     GALKIN_CROSSCHECK_MAX_N,
@@ -178,12 +178,17 @@ def _check_commutativity(n, p):
                 "krylov": serialize.vector_json(Fraction(v, s1**k) for v in krylov),
             }
         krylov = [sum(v * krylov[j] for j, v in row.items()) for row in rows[1]]
-    pairs = [[tuple(row.items()) for row in op_rows] for op_rows in rows]
+    sel = [op._selections() for op in ops]
+    ones = [1] * (2 * n)
+
+    def product(a, b):
+        return _shift_diagonal(*_product_rows(sel[a], rows[b], ones), 0)[0]
+
     for q in [0] + list(range(2, 2 * n)):
         a, b = sorted((q, 1))
         # Both products are over s_a * s_b and hold no zeros, so they are
         # equal exactly when their integer rows are.
-        if _product_rows(pairs[a], rows[b]) != _product_rows(pairs[b], rows[a]):
+        if product(a, b) != product(b, a):
             return False, f"operators for degrees {a} and {b} do not commute", {
                 "p": a,
                 "r": b,
@@ -326,6 +331,8 @@ def run_check_cell(check_id: str, n: int) -> list[CheckResult]:
     for p in cases_fn(n):
         try:
             ok, detail, witness = run_fn(n, p)
+            # a witness json cannot encode raises here, inside the cell
+            witness = serialize.cap_witness(witness) if not ok and witness else None
         except Exception as exc:  # never abort the sweep
             ok, detail, witness = False, f"check raised {type(exc).__name__}: {exc}", None
         results.append(
@@ -335,7 +342,7 @@ def run_check_cell(check_id: str, n: int) -> list[CheckResult]:
                 p=p,
                 status="pass" if ok else "fail",
                 detail=detail,
-                witness=serialize.cap_witness(witness) if not ok and witness else None,
+                witness=witness,
             )
         )
     return results

@@ -193,10 +193,46 @@ def sparse_test_matrices(draw):
     return Matrix(rows)
 
 
+MONOMIAL_ENTRIES = st.sampled_from([2, -2, 3, -4, Fraction(1, 2), Fraction(-3, 2), 1, -1])
+
+
+@st.composite
+def monomial_test_matrices(draw):
+    """Square matrices of size <= 8 whose rows mostly hold a single nonzero.
+
+    Faddeev shares the row of M_k that a single-pair row of C selects, under
+    a multiplier; the entries are mostly other than +-1, so the multipliers
+    grow.  A permutation picks the column of every single-pair row, so such
+    rows chain into cycles, which give nonzero traces and diagonal shifts;
+    some rows are empty, and a few hold one or two nonzeros at random
+    columns, so two rows of C can select the same row of M_k or be merged.
+    """
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        kind = draw(st.sampled_from(["single"] * 6 + ["empty", "two"]))
+        if kind == "single":
+            row[perm[i]] = draw(MONOMIAL_ENTRIES)
+        elif kind == "two":
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True)):
+                row[j] = draw(MONOMIAL_ENTRIES)
+        rows.append(row)
+    return Matrix(rows)
+
+
 class TestSparseRecursion:
     @settings(max_examples=100, deadline=None)
     @given(m=sparse_test_matrices())
     def test_agrees_with_cofactor_and_dense_reference(self, m):
+        f = charpoly_faddeev(m)
+        assert f == charpoly_cofactor(m)
+        assert f == dense_faddeev(m.rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=monomial_test_matrices())
+    def test_scaled_rows_agree_with_cofactor_and_dense_reference(self, m):
         f = charpoly_faddeev(m)
         assert f == charpoly_cofactor(m)
         assert f == dense_faddeev(m.rows)
@@ -217,11 +253,12 @@ class TestLargeN:
 
 
 INVARIANT_SCRIPT = """
+import math
 import sys
 import time
 from fractions import Fraction
 
-from oddquadric import Matrix, Poly, QuadricContext, charpoly, make_context, ring, spectra
+from oddquadric import Matrix, QuadricContext, charpoly, make_context, ring, spectra
 
 
 class SkewedContext(QuadricContext):
@@ -230,9 +267,10 @@ class SkewedContext(QuadricContext):
 
 
 # Corrupt the trace recursion, the closed form and the degree-one rule; the
-# guards must catch all three.
-charpoly._product_rows = lambda a, b: [dict.fromkeys(range(len(b)), 1) for _ in a]
-charpoly.X = Poly([0, 2])
+# guards must catch all three.  The product kernel returns all-ones rows under
+# unit multipliers, and every binomial coefficient is doubled.
+charpoly._product_rows = lambda a, b, scale: ([dict.fromkeys(range(len(b)), 1) for _ in b], [1] * len(b))
+charpoly.comb = lambda n, k: 2 * math.comb(n, k)
 ring.chevalley_column = lambda ctx, p: ((p, Fraction(1, 3)),)
 
 cases = [

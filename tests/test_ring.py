@@ -343,9 +343,15 @@ class TestRowType:
         s, rows = a.int_form()
         # c = 0 leaves the rows as they are; -rows[0][0] cancels the entry (0, 0).
         for c in (0, 1, -s, -rows[0].get(0, 0)):
-            shifted = Matrix._exact(n, s, ring._shift_diagonal(list(rows), c))
+            shifted, scale = ring._shift_diagonal(list(rows), [1] * n, c)
+            assert scale == [1] * n
             plus_c = [[x + Fraction(c, s) * (i == j) for j, x in enumerate(r)] for i, r in enumerate(da)]
-            assert_represents(shifted, plus_c)
+            assert_represents(Matrix._exact(n, s, shifted), plus_c)
+            # the same shift of rows under multipliers 1, -2, 3, ...
+            xs = [(-1) ** i * (i + 1) for i in range(n)]
+            shifted, _ = ring._shift_diagonal(list(rows), xs, c)
+            plus_c = [[xs[i] * x + Fraction(c, s) * (i == j) for j, x in enumerate(r)] for i, r in enumerate(da)]
+            assert_represents(Matrix._exact(n, s, shifted), plus_c)
         for c in (Fraction(0), Fraction(1, 2), Fraction(-3), db[0][0]):
             assert_represents(a.scale(c), [[c * x for x in row] for row in da])
         assert_represents(reversed_fill(a), da)

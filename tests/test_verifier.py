@@ -207,6 +207,19 @@ def test_exceptions_become_failures(monkeypatch):
     assert "synthetic" in results[0].detail
 
 
+def test_a_witness_json_cannot_encode_fails_only_its_cell(monkeypatch):
+    def unencodable(n, p):
+        return False, "synthetic failure", {"columns": {0, 1}}
+
+    monkeypatch.setitem(verifier.CHECKS, "galkin", (lambda n: [-1], unencodable))
+    report = run_suite(2, 3, checks=["galkin", "grading"])
+    failed = [(r.check_id, r.n, r.p) for r in report.results if r.status == "fail"]
+    assert failed == [("galkin", 2, -1), ("galkin", 3, -1)]
+    assert all("not JSON serializable" in r.detail for r in report.results if r.status == "fail")
+    assert all(r.witness is None for r in report.results)
+    serialize.dumps_canonical(serialize.report_json(report))
+
+
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="pool workers are forked")
 
 
