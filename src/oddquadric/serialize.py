@@ -5,6 +5,12 @@ omitted when 1): big integers overflow native JSON numbers, and strings keep
 comparisons bit-exact across runs.  Floats are rounded to 9 significant
 digits in every machine format.  JSON documents are canonical (sorted keys,
 ASCII) so repeated runs are byte-identical.
+
+dumps_canonical prints exactly what json.dump(obj, fp, sort_keys=True,
+indent=2, ensure_ascii=True) prints, from a writer of its own: json.dump
+never takes json's C encoder, and an indent keeps json.dumps off it too
+before Python 3.13, so every document would go through json's pure-Python
+generators, which take twice as long or longer.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 from .poly import Poly
@@ -106,15 +113,137 @@ def envelope(command: str, params: dict, result) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+#: A dict of at most this many items, all scalars under str keys, is rendered
+#: with one join; other containers item by item, so that no join holds a large
+#: part of the document.
+JOIN_ITEMS = 64
+#: The writer hands its pieces to the StringIO once this many are pending.
+FLUSH_PIECES = 4096
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+#: The JSON text of a scalar by its exact type.  Subclasses (numpy.float64,
+#: IntEnum) miss here and go through _text, which tests them as json does.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _text(o):
+    """The JSON text of a scalar json accepts; None for a dict, list or tuple."""
+    if isinstance(o, (dict, list, tuple)):
+        return None
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """A dict key as json writes it: a string, or a scalar's text in quotes."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if isinstance(k, (int, float)) or k is None:
+        return f'"{_text(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(o, nl: str, pieces: list, write) -> None:
+    """Append the text of the dict, list or tuple o to pieces; nl is the line
+    break and indent o's closing bracket stands after."""
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, dict):
+        if not o:
+            pieces.append("{}")
+            return
+        items = sorted(o.items())
+        if len(items) <= JOIN_ITEMS:
+            try:  # every key a str and every value an exact scalar
+                body = sep.join([f"{_encode_str(k)}: {_SCALAR_TEXT[type(v)](v)}" for k, v in items])
+                pieces.append(f"{{{inner}{body}{nl}}}")
+                return
+            except (KeyError, TypeError):
+                pass
+        head = "{" + inner
+        for k, v in items:
+            key = _key_text(k)
+            f = _SCALAR_TEXT.get(type(v))
+            text = f(v) if f is not None else _text(v)
+            if text is None:
+                pieces.append(f"{head}{key}: ")
+                _write(v, inner, pieces, write)
+            else:
+                pieces.append(f"{head}{key}: {text}")
+            head = sep
+            if len(pieces) > FLUSH_PIECES:
+                write("".join(pieces))
+                pieces.clear()
+        pieces.append(nl + "}")
+    else:
+        if not o:
+            pieces.append("[]")
+            return
+        head = "[" + inner
+        for v in o:
+            f = _SCALAR_TEXT.get(type(v))
+            text = f(v) if f is not None else _text(v)
+            if text is None:
+                pieces.append(head)
+                _write(v, inner, pieces, write)
+            else:
+                pieces.append(head + text)
+            head = sep
+            if len(pieces) > FLUSH_PIECES:
+                write("".join(pieces))
+                pieces.clear()
+        pieces.append(nl + "]")
+
+
 def dumps_canonical(obj) -> str:
     """The canonical JSON text of obj, newline-terminated.
 
-    json.dump writes the encoder's small chunks as they come, where json.dumps
-    would first hold all of them in one list, several times the size of the text.
+    Byte for byte json.dump(obj, fp, sort_keys=True, indent=2,
+    ensure_ascii=True) followed by a newline: keys sorted as json sorts the
+    items, strings through json's own ASCII encoder, int.__repr__ and
+    float.__repr__ also for their subclasses, NaN and Infinity spelled as json
+    spells them, tuples as lists, and the same TypeError for what json
+    rejects.  Only json's check for circular references is left out: a
+    document is a tree the program builds, and a cycle ends in RecursionError.
+
+    The writer is direct because json.dump runs json's pure-Python encoder (see
+    the module docstring).  It hands the text to the StringIO in bounded
+    pieces, so the document is never also held as one list of small chunks.
     """
     buf = io.StringIO()
-    json.dump(obj, buf, sort_keys=True, indent=2, ensure_ascii=True)
-    buf.write("\n")
+    text = _text(obj)
+    if text is None:
+        pieces: list[str] = []
+        _write(obj, "\n", pieces, buf.write)
+        pieces.append("\n")
+        buf.write("".join(pieces))
+    else:
+        buf.write(text + "\n")
     return buf.getvalue()
 
 

@@ -41,7 +41,9 @@ def run_subprocess(*argv):
 # The golden transcript: exit code and SHA-256 of stdout for every subcommand
 # in every format.  verify's JSON and CSV run a check subset: the details of
 # the diagonalization checks print numpy residuals whose last digits depend on
-# the BLAS build.  Any change to these hashes changes what users see.
+# the BLAS build.  Any change to these hashes changes what users see.  The
+# spectrum and galkin rows at n = 500 are the largest documents here (98 KB
+# and 71 KB), long enough that the JSON writer renders lists item by item.
 SUBSET = "galkin,charpoly_main,unit_column"
 GOLDEN = [
     ("charpoly -n 2 -p 1", 0, "c0193cba99075ec97aed5a78025b211bd1e085a6b7b2be3206503f28712834c7"),
@@ -63,6 +65,7 @@ GOLDEN = [
     ("spectrum -n 3 -p 4", 0, "40968dca76bb57733c4b09b6f8f4b99f81ef2c6a3143d94d69bc43c0ef3bad49"),
     ("spectrum -n 3 -p 4 --format json", 0, "ce56578c13c6ac0642d68bf7e4305c79123db3e0d56fa5319ecb82faa59eaea6"),
     ("spectrum -n 3 -p 4 --format csv", 0, "b5d8c60ef8e8099c461f0167d76f46d3bc8502983f8e990f063ec9d9dd7b0a27"),
+    ("spectrum -n 500 -p 7 --format json", 0, "64a0e95d658b43a10d4f86ffbd5858e9c51d618dc51335c7224a8ef627fd674f"),
     ("fpdim -n 2 -p 1", 0, "9dae37e0018579aaee10b7c409c4d774570a492c0aec5c526ed65fec197779f4"),
     ("fpdim -n 2 -p 1 --format json", 0, "f9616130b4962b9ab971958ec1c465bbed874230e485230b012307165692c69b"),
     ("fpdim -n 2 -p 1 --format csv", 0, "2316534019ba4bb99de52600fc35b3884d0038a82f98f00e7186f6439c58e4d9"),
@@ -72,6 +75,7 @@ GOLDEN = [
     ("galkin --n-min 2 --n-max 5", 0, "f3dc868e384723d31e091798d206721fd3b34bb3ba71789f3e4fbfc076e1321e"),
     ("galkin --n-min 2 --n-max 5 --format json", 0, "42c0d21d4fcd31d5f788186b8a633b52aa59df1ef7bba0cbe488ad0fad8f905f"),
     ("galkin --n-min 2 --n-max 5 --format csv", 0, "333c027f2ece7a24f21c1e7f8297c4cb5f1d138c6dd0a512e6ebe8cbecfcd397"),
+    ("galkin --n-min 2 --n-max 500 --format json", 0, "4f2e923e6c6da5d700d4d62e0aebed4a7a863abe014fe12cabc88d5cdb313933"),
     ("verify --n-min 2 --n-max 3 --jobs 1", 0, "947946f6330159344d1f6c246c3d4d4b779fc7fff403f44955ea6044175e309e"),
     (f"verify --n-min 2 --n-max 3 --checks {SUBSET} --jobs 1", 0, "d47719c4291f302cdd0b5e4d193e7c9d7e6b5dbcc56ca1e574aab2854802b855"),
     (f"verify --n-min 2 --n-max 3 --checks {SUBSET} --jobs 1 --format json", 0, "727dccbb911c8cd175919d33e6c7f001e95da171c9c009f40c5a8876b939f36e"),
