@@ -189,12 +189,12 @@ def cmd_verify(report):
 #: name: (command, help, least p for an -n/-p subcommand or None for an n range,
 #: largest n or --n-max accepted or None).  The ceilings hold one run to about
 #: half a minute and 2 GB on a 2-vCPU Xeon: charpoly -n 512 --format json takes
-#: 0.2 s at p = 19, 0.4 s at p = 700 and 0.6-0.9 s at p = 1023, where it forms
-#: ~1,000 powers (four runs each), verify --n-min 2 --n-max 32 takes 5.5-5.8 s
-#: at --jobs 1 and 3.7-3.8 s at --jobs 2 (four alternating runs each), and at
-#: n = 10^5 spectrum -p 1 takes 1.3-1.9 s as JSON (19.6 MB, 124 MB peak RSS),
-#: 0.7-1.2 s as text and 1.0-1.8 s as CSV, and galkin 1.1-1.8 s as JSON
-#: (14.7 MB, 109 MB), 1.1 s as text and 0.7-1.1 s as CSV (eight and four runs).
+#: 0.2-0.35 s at p = 19, 0.3-0.5 s at p = 700 and 0.6-1.1 s at p = 1023, where
+#: it forms ~1,000 powers, verify --n-min 2 --n-max 32 takes 5.5-5.8 s at
+#: --jobs 1 and 3.7-3.8 s at --jobs 2, and at n = 10^5 spectrum -p 1 takes
+#: 1.3-2.4 s as JSON (19.6 MB, 125 MB peak RSS), 0.6-1.1 s as text and 0.9-1.8 s
+#: as CSV, and galkin 1.2-2.2 s as JSON (14.7 MB, 109 MB), 0.7-1.2 s as text and
+#: 0.65-1.1 s as CSV (four to eight alternating runs each, at two machine loads).
 SUBCOMMANDS = {
     "charpoly": (cmd_charpoly, "characteristic polynomial of one operator", 0, 512),
     "spectrum": (cmd_spectrum, "closed-form eigenvalues of one operator", 1, 10**5),

@@ -10,7 +10,7 @@ dumps_canonical prints exactly what json.dump(obj, fp, sort_keys=True,
 indent=2, ensure_ascii=True) prints, from a writer of its own: json.dump
 never takes json's C encoder, and an indent keeps json.dumps off it too
 before Python 3.13, so every document would go through json's pure-Python
-generators, which take twice as long or longer.
+generators, which take 1.6 to 2 times as long as this writer.
 """
 
 from __future__ import annotations
@@ -115,12 +115,10 @@ def envelope(command: str, params: dict, result) -> dict:
 
 _encode_str = json.encoder.encode_basestring_ascii
 
-#: A dict of at most this many items, all scalars under str keys, is rendered
-#: with one join; other containers item by item, so that no join holds a large
-#: part of the document.
-JOIN_ITEMS = 64
 #: The writer hands its pieces to the StringIO once this many are pending.
-FLUSH_PIECES = 4096
+#: Smaller batches raised the peak RSS of galkin --n-max 100000 --format json
+#: from 109 MB to 117-120 MB in some or all runs (1,024 to 8,192 pieces).
+FLUSH_PIECES = 16384
 
 
 def _float_text(x: float) -> str:
@@ -129,33 +127,22 @@ def _float_text(x: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-#: The JSON text of a scalar by its exact type.  Subclasses (numpy.float64,
-#: IntEnum) miss here and go through _text, which tests them as json does.
-_SCALAR_TEXT = {
-    str: _encode_str,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
 def _text(o):
     """The JSON text of a scalar json accepts; None for a dict, list or tuple."""
-    if isinstance(o, (dict, list, tuple)):
-        return None
     if isinstance(o, str):
         return _encode_str(o)
     if o is None:
         return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
     if isinstance(o, int):
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
         return int.__repr__(o)
     if isinstance(o, float):
         return _float_text(o)
+    if isinstance(o, (dict, list, tuple)):
+        return None
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -177,19 +164,10 @@ def _write(o, nl: str, pieces: list, write) -> None:
         if not o:
             pieces.append("{}")
             return
-        items = sorted(o.items())
-        if len(items) <= JOIN_ITEMS:
-            try:  # every key a str and every value an exact scalar
-                body = sep.join([f"{_encode_str(k)}: {_SCALAR_TEXT[type(v)](v)}" for k, v in items])
-                pieces.append(f"{{{inner}{body}{nl}}}")
-                return
-            except (KeyError, TypeError):
-                pass
         head = "{" + inner
-        for k, v in items:
+        for k, v in sorted(o.items()):
             key = _key_text(k)
-            f = _SCALAR_TEXT.get(type(v))
-            text = f(v) if f is not None else _text(v)
+            text = _text(v)
             if text is None:
                 pieces.append(f"{head}{key}: ")
                 _write(v, inner, pieces, write)
@@ -206,8 +184,7 @@ def _write(o, nl: str, pieces: list, write) -> None:
             return
         head = "[" + inner
         for v in o:
-            f = _SCALAR_TEXT.get(type(v))
-            text = f(v) if f is not None else _text(v)
+            text = _text(v)
             if text is None:
                 pieces.append(head)
                 _write(v, inner, pieces, write)

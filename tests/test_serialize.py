@@ -82,8 +82,8 @@ def test_fails_where_json_fails_and_with_its_message(doc):
 
 @pytest.mark.parametrize(
     "obj",
-    [set(), np.bool_(False), {"a": {"b": [1, set()]}}, {"a": 1, 2: "b"}, {(1,): 0}, [np.int64(1)]],
-    ids=["set", "numpy.bool_", "nested set", "str and int keys", "tuple key", "numpy.int64"],
+    [set(), np.bool_(False), {"a": {"b": [1, set()]}}, {"a": 1, 2: "b"}, {(1,): 0}, {(1,): set()}, [np.int64(1)]],
+    ids=["set", "numpy.bool_", "nested set", "str and int keys", "tuple key", "tuple key to a set", "numpy.int64"],
 )
 def test_rejects_with_json_type_error(obj):
     with pytest.raises(TypeError) as ours:
@@ -102,17 +102,6 @@ def test_a_failing_verify_result_with_a_nan_residual(extra):
     result = CheckResult("diagonalization", 5, 3, "fail", "residual nan", serialize.cap_witness(witness))
     report = VerificationReport("0.1.0", (5, 5), [result], {"diagonalization": {"pass": 0, "fail": 1}})
     doc = serialize.envelope("verify", {"n_min": 5, "n_max": 5}, serialize.report_json(report))
-    assert serialize.dumps_canonical(doc) == json_text(doc)
-
-
-@pytest.mark.parametrize("size", [serialize.JOIN_ITEMS, serialize.JOIN_ITEMS + 1])
-def test_containers_either_side_of_the_join_bound(size):
-    doc = {
-        "ints": list(range(size)),
-        "floats": {f"k{i:03}": i / 7 for i in range(size)},
-        "nested": [{"i": [i, {}], "s": f"é{i}"} for i in range(size)],
-        "tuple": tuple([None, True] * (size // 2)),
-    }
     assert serialize.dumps_canonical(doc) == json_text(doc)
 
 
