@@ -14,7 +14,7 @@ from .charpoly import (
     closed_form_charpoly,
     nonzero_part_is_squarefree,
 )
-from .poly import Poly, X, poly_gcd, squarefree_decomposition
+from .poly import Poly, poly_gcd, squarefree_decomposition
 from .ring import (
     Matrix,
     QuadricContext,
@@ -64,7 +64,6 @@ __all__ = [
     "RootFindingError",
     "SpectrumReport",
     "VerificationReport",
-    "X",
     "all_roots",
     "all_roots_simple",
     "basis_vector",

@@ -1,8 +1,9 @@
 """Characteristic polynomials of the multiplication operators, three ways.
 
-Two independent exact algorithms (a trace recursion and a cofactor expansion)
-compute det(lam*I - M) for any operator, and the closed form they must both
-equal is instantiated directly:
+Two independent exact algorithms compute det(lam*I - M): a trace recursion
+(Faddeev-LeVerrier) for any operator, and a cofactor expansion, the oracle,
+for operators of size N <= COFACTOR_DIM_LIMIT only.  The closed form they
+must both equal is instantiated directly:
 
     lam * (lam^((2n-1)/d) - 2^(2p/d))^d              1 <= p < n
     lam * (lam^((2n-1)/d) - 2^((2p-(2n-1))/d))^d     n <= p < 2n-1

@@ -100,8 +100,8 @@ def cmd_spectrum(ctx, p):
             [
                 ctx.n,
                 p,
-                fmt_float(round9(ep.value.real)),
-                fmt_float(round9(ep.value.imag)),
+                fmt_float(ep.value.real),
+                fmt_float(ep.value.imag),
                 ep.multiplicity,
                 fmt_float(report.fp_dim),
                 fmt_bool(report.simple),

@@ -1,12 +1,14 @@
-"""Dense univariate polynomials over exact rationals, stored over the integers.
+"""Exact univariate polynomials over the rationals, as values stored over the integers.
 
 A polynomial is (1/den) * (num[0] + num[1] x + ... ) for a positive integer
 den and integer coefficients num, ascending by degree with trailing zeros
 trimmed, in lowest terms (den shares no factor with all of num); the zero
 polynomial is num = (0,) over 1.  The representation is unique, so equality
-compares it directly, and all arithmetic runs on the integers.  Includes a
-primitive-PRS gcd and Yun's squarefree decomposition over Z[x], which back
-the repeated-root analysis elsewhere.
+compares it directly.  Poly is a value to compare and read, with no operator
+algebra: charpoly writes characteristic polynomials coefficient by
+coefficient, and the rest of the package reads them.  The one computation is
+a primitive-PRS gcd and Yun's squarefree decomposition, run in Z[x] on the
+integer numerators by pseudo-division; they back the repeated-root analysis.
 """
 
 from __future__ import annotations
@@ -36,16 +38,6 @@ def _trim(a: list[int]) -> list[int]:
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return a or [0]
-
-
-def _mul(a, b) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    nonzero = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in nonzero:
-                out[i + j] += x * y
-    return out
 
 
 def _sub(a, b) -> list[int]:
@@ -171,55 +163,6 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
-    def __neg__(self) -> "Poly":
-        return Poly.from_ints([-v for v in self._num], self._den)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b, den = self._num, other._num, self._den
-        if other._den != den:
-            den = lcm(den, other._den)
-            a = [v * (den // self._den) for v in a]
-            b = [v * (den // other._den) for v in b]
-        return Poly.from_ints([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return Poly.from_ints(_mul(self._num, other._num), self._den * other._den)
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative polynomial powers are not supported")
-        result = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        # s*a = q*b + r on the numerators: self = q*den_b/(s*den_a) * other + r/(s*den_a).
-        q, r, s = _divmod_ints(self._num, other._num)
-        den = s * self._den
-        return Poly.from_ints([v * other._den for v in q], den), Poly.from_ints(r, den)
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("the zero polynomial has no monic form")
@@ -238,10 +181,6 @@ class Poly:
         """Split off the power-of-the-variable factor: (k, g) with self = x^k * g."""
         k = self.zero_root_multiplicity()
         return k, Poly.from_ints(self._num[k:], self._den)
-
-
-#: The indeterminate, for building polynomials by arithmetic.
-X = Poly((0, 1))
 
 
 def _monic(a) -> Poly:

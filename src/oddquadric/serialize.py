@@ -50,7 +50,7 @@ def fmt_bool(b: bool) -> str:
 
 
 def fmt_complex(z: complex) -> str:
-    re, im = round9(z.real), round9(z.imag)
+    re, im = z.real, z.imag
     if im == 0:
         return fmt_float(re)
     sign = "+" if im >= 0 else "-"

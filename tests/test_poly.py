@@ -1,19 +1,19 @@
-"""Exact polynomial arithmetic, gcd, and squarefree machinery."""
+"""Exact polynomial values, gcd, and squarefree machinery."""
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddquadric import Poly, X, make_context, poly_gcd, squarefree_decomposition
+from coefficient_lists import mul
+from oddquadric import Poly, make_context, poly, poly_gcd, squarefree_decomposition
 from oddquadric.charpoly import closed_form_charpoly
 from oddquadric.serialize import frac_str, poly_json
 
-small_polys = st.builds(
-    Poly,
-    st.lists(st.integers(-6, 6), min_size=1, max_size=6),
-)
+small_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
+small_polys = st.builds(Poly, small_lists)
 nonzero_polys = small_polys.filter(lambda f: not f.is_zero)
 
 
@@ -30,29 +30,11 @@ def test_degree_and_leading():
     assert f.is_monic
 
 
-def test_arithmetic_basics():
-    f = X**2 - Poly([1])
-    g = (X - Poly([1])) * (X + Poly([1]))
-    assert f == g
-    assert f - g == Poly([0])
-    assert (f + g).coeffs == (-2, 0, 2)
-
-
 def test_scale_and_monic():
     f = Poly([2, 0, 4])
     assert f.monic().coeffs == (Fraction(1, 2), 0, 1)
-    assert (f * Poly([Fraction(1, 2)])).coeffs == (1, 0, 2)
     with pytest.raises(ValueError):
         Poly([0]).monic()
-
-
-def test_divmod_known():
-    f = X**3 - Poly([1])
-    q, r = divmod(f, X - Poly([1]))
-    assert q == X**2 + X + Poly([1])
-    assert r.is_zero
-    with pytest.raises(ZeroDivisionError):
-        divmod(f, Poly([0]))
 
 
 def test_derivative():
@@ -69,21 +51,23 @@ def test_zero_root_multiplicity():
 
 
 def test_gcd_known_values():
-    f = (X - Poly([1])) ** 2 * (X + Poly([2]))
-    g = (X - Poly([1])) * (X + Poly([3]))
-    assert poly_gcd(f, g) == X - Poly([1])
-    assert poly_gcd(X**3 - Poly([4]), Poly([3]) * X**2).degree == 0
+    x_minus_1, cubic = [-1, 1], [-4, 0, 0, 1]
+    f = Poly(mul(x_minus_1, x_minus_1, [2, 1]))
+    g = Poly(mul(x_minus_1, [3, 1]))
+    assert poly_gcd(f, g) == Poly(x_minus_1)
+    assert poly_gcd(Poly(cubic), Poly([0, 0, 3])).degree == 0
     assert poly_gcd(f, Poly([0])) == f.monic()
 
 
 def test_squarefree_decomposition_known():
-    f = (X - Poly([1])) ** 3 * (X + Poly([1]))
-    assert squarefree_decomposition(f) == [(X + Poly([1]), 1), (X - Poly([1]), 3)]
+    x_minus_1, x_plus_1, cubic = [-1, 1], [1, 1], [-4, 0, 0, 1]
+    f = Poly(mul(x_minus_1, x_minus_1, x_minus_1, x_plus_1))
+    assert squarefree_decomposition(f) == [(Poly(x_plus_1), 1), (Poly(x_minus_1), 3)]
 
-    g = (X**3 - Poly([4])) ** 3
-    assert squarefree_decomposition(g) == [(X**3 - Poly([4]), 3)]
+    g = Poly(mul(cubic, cubic, cubic))
+    assert squarefree_decomposition(g) == [(Poly(cubic), 3)]
 
-    h = X**3 - Poly([4])
+    h = Poly(cubic)
     assert squarefree_decomposition(h) == [(h, 1)]
 
 
@@ -95,37 +79,27 @@ def test_squarefree_decomposition_requires_monic_nonconstant():
 
 
 @settings(max_examples=60, deadline=None)
-@given(f=small_polys, g=nonzero_polys)
-def test_divmod_identity(f, g):
-    q, r = divmod(f, g)
-    assert q * g + r == f
-    assert r.is_zero or r.degree < g.degree
-
-
-@settings(max_examples=60, deadline=None)
-@given(f=small_polys, g=small_polys)
-def test_product_rule(f, g):
-    lhs = (f * g).derivative()
-    rhs = f.derivative() * g + f * g.derivative()
-    assert lhs == rhs
+@given(a=small_lists, b=small_lists)
+def test_product_rule(a, b):
+    da, db = (list(Poly(cs).derivative().coeffs) for cs in (a, b))
+    rhs = [x + y for x, y in zip_longest(mul(da, b), mul(a, db), fillvalue=0)]
+    assert Poly(mul(a, b)).derivative() == Poly(rhs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(f=nonzero_polys, g=nonzero_polys)
 def test_gcd_divides_both(f, g):
-    d = poly_gcd(f, g)
-    assert (f % d).is_zero
-    assert (g % d).is_zero
+    d = list(poly_gcd(f, g).coeffs)
+    assert _ref_divmod(list(f.coeffs), d)[1] == [0]
+    assert _ref_divmod(list(g.coeffs), d)[1] == [0]
 
 
 @settings(max_examples=30, deadline=None)
 @given(f=nonzero_polys.filter(lambda f: f.degree >= 1))
 def test_squarefree_decomposition_reassembles(f):
     m = f.monic()
-    product = Poly([1])
-    for factor, mult in squarefree_decomposition(m):
-        product = product * factor**mult
-    assert product == m
+    factors = [list(g.coeffs) for g, mult in squarefree_decomposition(m) for _ in range(mult)]
+    assert Poly(mul(*factors)) == m
 
 
 # A plain Fraction reference for the integer core: ascending coefficient
@@ -194,13 +168,21 @@ nonintegral_monic = st.lists(rationals, min_size=1, max_size=6).map(lambda cs: c
 )
 
 
+int_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(poly._trim)
+
+
 @settings(max_examples=80, deadline=None)
-@given(a=rational_lists, b=rational_lists.filter(lambda cs: any(cs)))
+@given(a=int_lists, b=int_lists.filter(any))
 def test_divmod_and_exact_div_match_fraction_reference(a, b):
-    q, r = divmod(Poly(a), Poly(b))
-    rq, rr = _ref_divmod(a, _ref_trim(b))
-    assert (list(q.coeffs), list(r.coeffs)) == (rq, rr)
-    assert divmod(Poly(a) * Poly(b), Poly(b)) == (Poly(a), Poly([0]))
+    """The pseudo-division under gcd and Yun: s*a = q*b + r with deg r < deg b,
+    the Fraction quotient and remainder scaled by s; and the exact quotient."""
+    q, r, s = poly._divmod_ints(a, b)
+    qb_plus_r = [x + y for x, y in zip_longest(mul(q, b), r, fillvalue=0)]
+    assert poly._trim(qb_plus_r) == [s * v for v in a]
+    assert r == [0] or len(r) < len(b)
+    rq, rr = _ref_divmod(a, b)
+    assert ([Fraction(v, s) for v in q], [Fraction(v, s) for v in r]) == (rq, rr)
+    assert poly._exact_quo(mul(a, b), b) == _ref_divmod(mul(a, b), b)[0] == a
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,15 +194,14 @@ def test_gcd_matches_fraction_reference(a, b):
 @settings(max_examples=60, deadline=None)
 @given(g=rational_lists, h=rational_lists)
 def test_gcd_of_products_matches_fraction_reference(g, h):
-    common = Poly(g) * Poly(h)
-    a, b = common * Poly(g), common * (Poly(h) + Poly([1]))
+    a, b = Poly(mul(g, h, g)), Poly(mul(g, h, [h[0] + 1] + h[1:]))
     assert list(poly_gcd(a, b).coeffs) == _ref_gcd(list(a.coeffs), list(b.coeffs))
 
 
 @settings(max_examples=60, deadline=None)
 @given(cs=nonintegral_monic, k=st.integers(1, 3), extra=nonintegral_monic)
 def test_squarefree_matches_fraction_reference(cs, k, extra):
-    f = Poly(cs) ** k * Poly(extra)
+    f = Poly(mul(*[cs] * k, extra))
     got = [(list(g.coeffs), i) for g, i in squarefree_decomposition(f)]
     assert got == _ref_yun(list(f.coeffs))
     assert all(g.is_monic for g, _ in squarefree_decomposition(f))
@@ -232,12 +213,12 @@ def test_closed_form_yun_is_one_binomial(n):
     for p in range(1, 2 * n):
         _, g = closed_form_charpoly(ctx, p).strip_zero_roots()
         if p == 2 * n - 1:
-            assert squarefree_decomposition(g) == [(X + Poly([1]), 1), (X - Poly([1]), 2 * n - 1)]
+            assert squarefree_decomposition(g) == [(Poly([1, 1]), 1), (Poly([-1, 1]), 2 * n - 1)]
             continue
         d = ctx.d(p)
         m = (2 * n - 1) // d
         e = 2 * p // d if p < n else (2 * p - (2 * n - 1)) // d
-        assert squarefree_decomposition(g) == [(X**m - Poly([2**e]), d)]
+        assert squarefree_decomposition(g) == [(Poly([-(2**e)] + [0] * (m - 1) + [1]), d)]
 
 
 @settings(max_examples=60, deadline=None)

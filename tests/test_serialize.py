@@ -1,5 +1,6 @@
 """Canonical JSON: dumps_canonical prints what json.dump prints with the
-canonical settings, for every document json accepts, and fails where json fails."""
+canonical settings, for every document json accepts, and fails where json fails.
+Also the float format that text and CSV print."""
 
 import io
 import json
@@ -121,3 +122,14 @@ def test_writes_in_bounded_pieces(monkeypatch):
     assert text == json_text(doc)
     assert len(writes) > 2
     assert max(writes) < len(text) / 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=floats)
+def test_round9_changes_nothing_fmt_float_prints(x):
+    """Text and CSV print fmt_float(x), not fmt_float(round9(x)): the same
+    characters, and round9 keeps zero and sign, the two tests fmt_complex makes."""
+    r = serialize.round9(x)
+    assert serialize.fmt_float(r) == serialize.fmt_float(x)
+    assert (r == 0) == (x == 0)
+    assert (r >= 0) == (x >= 0)

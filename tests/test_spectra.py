@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coefficient_lists import mul
 from oddquadric import (
     Poly,
     RootFindingError,
@@ -249,7 +250,7 @@ class TestRootFinding:
         [
             Poly([-(10**400), 0, 1]),
             Poly([-(10**400), 1]),
-            Poly([0, 1]) * Poly([-(10**309), 1]) ** 2,
+            Poly(mul([0, 1], [-(10**309), 1], [-(10**309), 1])),
             Poly([3 * 10**221, 2 * 10**308, 3 * 10**257, 1]),
         ],
         ids=["x2_minus_1e400", "x_minus_1e400", "repeated_1e309", "cubic_2e308"],
@@ -541,35 +542,36 @@ class TestRootsBatch:
         DK_MAX_ITER in one batch: each polynomial gets the roots, or the
         error, that all_roots gives it alone, and that its factors give one
         at a time."""
-        x = Poly([0, 1])
+        x = [0, 1]
 
         def cubic(c):  # x^3 - c: one shape for every c != 0
-            return x**3 - Poly([c])
+            return [-c, 0, 0, 1]
 
         def quadratic(b, c):  # x^2 + bx + c: the other shape, for b, c != 0
-            return x**2 + Poly([c, b])
+            return [c, b, 1]
 
         # Roots 1 +- 10^-6 take 30 sweeps, every other factor here at most 9.
         close = quadratic(-2, 1 - Fraction(1, 10**12))
-        assert not isinstance(_roots_batch([close])[0], RootFindingError)
+        assert not isinstance(_roots_batch([Poly(close)])[0], RootFindingError)
         monkeypatch.setattr(spectra, "DK_MAX_ITER", 20)
 
-        polys = [
-            x**2 * cubic(4),
-            (x - Poly([2])) ** 2 * cubic(2),
-            cubic(3) ** 2 * (x + Poly([1])) ** 3,
-            x * quadratic(1, 1),
-            quadratic(2, 3) ** 2,
-            (x - Poly([1])) ** 2 * cubic(-(10**308)),
+        factor_lists = [
+            [x, x, cubic(4)],
+            [[-2, 1], [-2, 1], cubic(2)],
+            [cubic(3), cubic(3), [1, 1], [1, 1], [1, 1]],
+            [x, quadratic(1, 1)],
+            [quadratic(2, 3), quadratic(2, 3)],
+            [[-1, 1], [-1, 1], cubic(-(10**308))],
             # Two failing factors: x^3 + 10^308 overflows and, second in Yun
             # order, `close` stalls; the first error is the one reported.
-            cubic(-(10**308)) * close**2,
+            [cubic(-(10**308)), close, close],
         ]
+        polys = [Poly(mul(*factors)) for factors in factor_lists]
         got = [_roots_bits(roots) for roots in _roots_batch(polys)]
         assert got == [_alone(all_roots, f) for f in polys]
         assert got == [_alone(reference_all_roots, f) for f in polys]
         assert got[5] == got[6] == "root iteration overflowed: an update is not finite"
-        assert "did not converge" in _alone(all_roots, close)
+        assert "did not converge" in _alone(all_roots, Poly(close))
         assert [m for *_, m in got[2]] == [2, 2, 2, 3]
         assert_kernel_precondition(kernel_calls)
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coefficient_lists import mul
 from oddquadric import (
     CHECK_IDS,
     Poly,
@@ -582,16 +583,17 @@ def _unsigned_cofactor(m):
 
     def expand(rows):
         if not rows:
-            return Poly([1])
-        total = Poly([0])
+            return [1]
+        total = [0] * (len(rows) + 1)
         for j, entry in enumerate(rows[0]):
-            total = total + entry * expand([row[:j] + row[j + 1 :] for row in rows[1:]])
+            for k, c in enumerate(mul(entry, expand([row[:j] + row[j + 1 :] for row in rows[1:]]))):
+                total[k] += c
         return total
 
-    return expand([
-        [Poly([-v, 1]) if i == j else Poly([-v]) for j, v in enumerate(row)]
+    return Poly(expand([
+        [[-v, 1] if i == j else [-v] for j, v in enumerate(row)]
         for i, row in enumerate(m.rows)
-    ])
+    ]))
 
 
 def test_charpoly_oracle_check_can_fail(monkeypatch):
