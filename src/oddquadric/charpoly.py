@@ -29,27 +29,24 @@ COFACTOR_DIM_LIMIT = 10
 def charpoly_faddeev(m: Matrix) -> Poly:
     """det(lam*I - M) by the Faddeev-LeVerrier trace recursion, exactly.
 
-    The recursion runs on the integer matrix C = s*M kept by Matrix (for an
-    integer matrix all intermediates are integers); the coefficients are then
-    rescaled through the identity det(lam*I - C/s) = s^-N det((s*lam)*I - C).
-    Each row of M_k and C*M_k is an integer multiplier times a shared,
-    never-mutated sparse row {column: value} with no stored zeros.  The ring's
-    product kernel gives a row of C with a single nonzero (t, x) the row t of
-    M_k itself, under x times its multiplier, and merges the rows of M_k that
-    any other row of C selects into a new row under multiplier 1.  The trace
-    sums multiplier times diagonal entry, and only a step whose coefficient
-    is nonzero calls the ring's diagonal-shift kernel, which multiplies the
-    rows out and adds c*I.  So a step costs one multiply per single nonzero
-    of C other than 1, the nonzeros of the M_k rows the other rows of C
-    select, and O(N) bulk gathers; a step that shifts also copies every row.
-    The operators' rows hold one or two nonzeros, mostly one, and their M_k
-    are short polynomials in C: O(N) per step and O(N^2) per operator in
-    every case measured (every M_k has at most N + 2 nonzeros for every p at
-    n <= 16 and n in {24, 32, 64}); a dense matrix fills its rows and costs
-    O(N^4).
+    The recursion runs on C, the integer rows of M, so every intermediate is
+    an integer.  Each row of M_k and C*M_k is an integer multiplier times a
+    shared, never-mutated sparse row {column: value} with no stored zeros.
+    The ring's product kernel gives a row of C with a single nonzero (t, x)
+    the row t of M_k itself, under x times its multiplier, and merges the rows
+    of M_k that any other row of C selects into a new row under multiplier 1.
+    The trace sums multiplier times diagonal entry, and only a step whose
+    coefficient is nonzero calls the ring's diagonal-shift kernel, which
+    multiplies the rows out and adds c*I.  So a step costs one multiply per
+    single nonzero of C other than 1, the nonzeros of the M_k rows the other
+    rows of C select, and O(N) bulk gathers; a step that shifts also copies
+    every row.  The operators' rows hold one or two nonzeros, mostly one, and
+    their M_k are short polynomials in C: O(N) per step and O(N^2) per
+    operator in every case measured (every M_k has at most N + 2 nonzeros for
+    every p at n <= 16 and n in {24, 32, 64}); a dense matrix fills its rows
+    and costs O(N^4).
     """
-    s, a = m.int_form()
-    n = len(a)
+    n = m.size
     if n == 0:
         raise ValueError("empty matrix")
     sel = m._selections()
@@ -75,16 +72,15 @@ def charpoly_faddeev(m: Matrix) -> Poly:
     # must be empty; cheap exactness guard.
     if any(mk):
         raise ArithmeticError("trace recursion failed the Cayley-Hamilton identity")
-    return Poly.from_ints([c[k] * s**k for k in range(n + 1)], s**n)
+    return Poly.from_ints(c)
 
 
 def charpoly_cofactor(m: Matrix) -> Poly:
     """det(lam*I - M) by Laplace expansion over Z[lam].
 
     Independent of the trace recursion; used as a cross-check oracle.  Like
-    Faddeev it runs on the integer form (s, C) of M and rescales once through
-    det(lam*I - C/s) = s^-N det((s*lam)*I - C).  Each minor of (s*lam)*I - C
-    is expanded along its first row, reading only that row's nonzeros and its
+    Faddeev it runs on the integer rows of M.  Each minor of lam*I - M is
+    expanded along its first row, reading only that row's nonzeros and its
     diagonal, and is keyed by the set of columns it keeps: the rows it keeps
     are the last ones, as many as its columns.  So at most 2^N distinct minors
     are formed, each once, in place of the N! paths of a plain expansion; a
@@ -92,7 +88,7 @@ def charpoly_cofactor(m: Matrix) -> Poly:
     same: verify runs the oracle on every operator whose size is within it,
     so a larger limit adds results to verify's report.
     """
-    s, a = m.int_form()
+    a = m.int_form()
     n = len(a)
     if n > COFACTOR_DIM_LIMIT:
         raise ValueError(f"cofactor oracle limited to dimension {COFACTOR_DIM_LIMIT}, got {n}")
@@ -114,18 +110,18 @@ def charpoly_cofactor(m: Matrix) -> Poly:
                 continue
             sub = det(cols ^ 1 << j)
             sign = -1 if (cols & ((1 << j) - 1)).bit_count() % 2 else 1
-            # entry (i, j) is -C[i][j], plus s*lam on the diagonal
+            # entry (i, j) is -M[i][j], plus lam on the diagonal
             c = -sign * row.get(j, 0)
             if c:
                 for t, v in enumerate(sub):
                     total[t] += c * v
             if j == i:
                 for t, v in enumerate(sub):
-                    total[t + 1] += sign * s * v
+                    total[t + 1] += sign * v
         minors[cols] = total
         return total
 
-    return Poly.from_ints(det((1 << n) - 1), s**n)
+    return Poly.from_ints(det((1 << n) - 1))
 
 
 # typed, as for ring.build_ap: an untyped cache would return the p = 1 entry

@@ -13,8 +13,10 @@ the degree-one class t_1:
     t_1 * t_{2n-1} = t_1                (point class wraps to degree one)
 
 Multiplication by any other basis class is a power of the t_1 operator, halved
-above the middle degree; see :func:`build_ap`.  All matrices are exact, with
-entries in the half-integers.
+from the middle degree on; see :func:`build_ap`.  Every operator is an integer
+matrix: its entries are 3-point genus-0 Gromov-Witten invariants, which are
+nonnegative integers on a homogeneous space.  The halving checks this, and
+every nonzero entry is 1 or 2 for every degree at 2 <= n <= 64 (tests/test_ring.py).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import index
 from typing import NamedTuple
 
 from .poly import as_fraction
@@ -72,84 +75,63 @@ def check_index(ctx: QuadricContext, p: int) -> None:
 
 
 class Matrix:
-    """Immutable square matrix over exact rationals, stored sparse over the integers.
+    """Immutable square integer matrix, stored sparse.
 
-    A matrix is (1/s) * C for a positive integer s and an integer matrix C
-    whose rows are {column: value} dicts of their nonzero entries.  s is the
-    least common denominator of the entries, so the representation is unique;
-    equality and hashing compare it regardless of the order columns were filled
-    in.  Rows are never mutated, so matrices may share them.  Arithmetic runs
-    on the integer rows; _product_rows and _shift_diagonal are the only code
-    that writes them.
+    The rows are {column: value} dicts of their nonzero entries, so the
+    representation is unique; equality and hashing compare it regardless of
+    the order columns were filled in.  Rows are never mutated, so matrices may
+    share them.  _product_rows and _shift_diagonal are the only code that
+    writes them.
     """
 
-    __slots__ = ("size", "_s", "_rows", "_sel")
+    __slots__ = ("size", "_rows", "_sel")
 
     def __init__(self, rows):
         rows = [[as_fraction(v) for v in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        s = lcm(*(v.denominator for row in rows for v in row))
-        ints = [
-            {j: v.numerator * (s // v.denominator) for j, v in enumerate(row) if v}
-            for row in rows
-        ]
-        self._set(len(rows), s, ints)
-
-    def _set(self, size: int, s: int, rows) -> None:
-        """Store (1/s) * rows in lowest terms; rows are {column: value} dicts without zeros."""
-        g = gcd(s, *(v for row in rows for v in row.values())) if s > 1 else 1
-        if g > 1:
-            s //= g
-            rows = [{j: v // g for j, v in row.items()} for row in rows]
-        self.size = size
-        self._s = s
-        self._rows = tuple(rows)
-        self._sel = None
+        if any(v.denominator != 1 for row in rows for v in row):
+            raise ValueError("matrix entries must be integers")
+        self.size, self._sel = len(rows), None
+        self._rows = tuple({j: v.numerator for j, v in enumerate(row) if v} for row in rows)
 
     @staticmethod
-    def _exact(size: int, s: int, rows) -> "Matrix":
+    def _exact(size: int, rows) -> "Matrix":
+        """The matrix of rows, {column: value} dicts without zeros, unchecked."""
         m = Matrix.__new__(Matrix)
-        m._set(size, s, rows)
+        m.size, m._rows, m._sel = size, tuple(rows), None
         return m
 
     @staticmethod
     def identity(size: int) -> "Matrix":
-        return Matrix._exact(size, 1, [{i: 1} for i in range(size)])
+        return Matrix._exact(size, [{i: 1} for i in range(size)])
 
     @property
-    def rows(self) -> tuple[Vector, ...]:
-        """Dense view: every entry as a Fraction, row by row; built on each read."""
-        zero, s = Fraction(0), self._s
-        out = []
-        for row in self._rows:
-            dense = [zero] * self.size
-            for j, v in row.items():
-                dense[j] = Fraction(v, s)
-            out.append(tuple(dense))
-        return tuple(out)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Dense view: every entry, row by row; built on each read."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.size)) for row in self._rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self._s == other._s and self._rows == other._rows
+        return self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self._s, tuple(frozenset(row.items()) for row in self._rows)))
+        return hash(tuple(frozenset(row.items()) for row in self._rows))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(v) for v in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def int_form(self) -> tuple[int, tuple[Mapping[int, int], ...]]:
-        """Common denominator s and the rows of the integer matrix s*self, as
-        {column: value} dicts of their nonzero entries.  The dicts are the
-        matrix's own and may be shared with other matrices: read them only."""
-        return self._s, self._rows
+    def int_form(self) -> tuple[Mapping[int, int], ...]:
+        """The rows, as {column: value} dicts of their nonzero entries.  The
+        dicts are the matrix's own and may be shared with other matrices:
+        read them only."""
+        return self._rows
 
     def _selections(self):
-        """The integer rows in the form _product_rows reads, formed on first
-        use and kept, since the rows never change."""
+        """The rows in the form _product_rows reads, formed on first use and
+        kept, since the rows never change."""
         if self._sel is None:
             self._sel = _row_selections(self._rows)
         return self._sel
@@ -161,7 +143,7 @@ class Matrix:
             raise ValueError("size mismatch")
         rows, scale = _product_rows(self._selections(), other._rows, [1] * self.size)
         rows, _ = _shift_diagonal(rows, scale, 0)
-        return Matrix._exact(self.size, self._s * other._s, rows)
+        return Matrix._exact(self.size, rows)
 
     def __pow__(self, k: int) -> "Matrix":
         if k < 0:
@@ -176,28 +158,27 @@ class Matrix:
                 base = base * base
         return result
 
-    def scale(self, c) -> "Matrix":
-        c = as_fraction(c)
-        x = c.numerator
-        if x == 1:
+    def scale(self, c: int) -> "Matrix":
+        """c * self, for an integer c; anything else raises TypeError."""
+        c = index(c)
+        if c == 1:
             rows = self._rows  # rows are never mutated, so they can be shared
         else:
-            rows = [{j: v * x for j, v in row.items()} if x else {} for row in self._rows]
-        return Matrix._exact(self.size, self._s * c.denominator, rows)
+            rows = [{j: v * c for j, v in row.items()} if c else {} for row in self._rows]
+        return Matrix._exact(self.size, rows)
 
     def apply(self, vec) -> Vector:
         """Matrix-vector product, exact.
 
         The vector is put over one common denominator d, so each output entry
-        is one integer dot product over s*d.
+        is one integer dot product over d.
         """
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
         vec = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in vec]
         d = lcm(*(x.denominator for x in vec))
         w = [x.numerator * (d // x.denominator) for x in vec]
-        sd = self._s * d
-        return tuple(Fraction(sum(v * w[j] for j, v in row.items()), sd) for row in self._rows)
+        return tuple(Fraction(sum(v * w[j] for j, v in row.items()), d) for row in self._rows)
 
 
 def _row_selections(rows) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, tuple]]]:
@@ -309,7 +290,7 @@ def build_a1(ctx: QuadricContext) -> Matrix:
             if not isinstance(v, int) or not v:
                 raise ValueError(f"Chevalley coefficients must be nonzero integers, got {v!r}")
             rows[i][p] = v
-    return Matrix._exact(ctx.basis_size, 1, rows)
+    return Matrix._exact(ctx.basis_size, rows)
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +299,19 @@ def _powers(a1: Matrix) -> list[Matrix]:
 
     build_ap extends the list by A^k = A * A^(k-1) only as far as the degree
     it is asked for.  The cache is keyed by the matrix, not the context, so
-    the powers always follow the degree-one matrix that build_a1 returns.
+    the powers always follow the degree-one matrix that build_a1 returns,
+    and A^1 is that matrix itself.
     """
-    return [Matrix.identity(a1.size)]
+    return [Matrix.identity(a1.size), a1]
+
+
+def _halved(m: Matrix, p: int) -> list[dict[int, int]]:
+    """The rows of m / 2, for m = A_1^p; an odd entry raises ArithmeticError
+    naming p, since the operators are integer matrices (see the module docstring)."""
+    rows = m.int_form()
+    if any(v & 1 for row in rows for v in row.values()):
+        raise ArithmeticError(f"A_1^{p} has an odd entry, so t_{p} has no integer operator")
+    return [{j: v >> 1 for j, v in row.items()} for row in rows]
 
 
 # typed: True == 1 and hash(True) == hash(1), so an untyped cache would let
@@ -331,7 +322,8 @@ def build_ap(ctx: QuadricContext, p: int) -> Matrix:
 
     t_0 acts as the identity; below the middle degree the operator is a plain
     power of the t_1 matrix, from the middle on it is half that power, and the
-    point class is half the top power minus the identity.
+    point class is half the top power minus the identity.  The halving is
+    exact: see _halved.
     """
     check_index(ctx, p)
     a1 = build_a1(ctx)
@@ -340,11 +332,10 @@ def build_ap(ctx: QuadricContext, p: int) -> Matrix:
         powers.append(a1 * powers[-1])
     mat = powers[p]
     if p >= ctx.n:
-        mat = mat.scale(Fraction(1, 2))
-    if p == ctx.dim:
-        s, rows = mat.int_form()
-        rows, _ = _shift_diagonal(list(rows), [1] * mat.size, -s)
-        mat = Matrix._exact(mat.size, s, rows)
+        rows = _halved(mat, p)
+        if p == ctx.dim:
+            rows, _ = _shift_diagonal(rows, [1] * mat.size, -1)
+        mat = Matrix._exact(mat.size, rows)
     return mat
 
 

@@ -157,18 +157,14 @@ def _eigenvector_matrix(ctx: QuadricContext) -> np.ndarray:
 
 
 def operator_as_array(ctx: QuadricContext, p: int) -> np.ndarray:
-    """Double-precision copy of the exact degree-p operator.
-
-    Built from the integer form (1/s) * C: each entry is the correctly rounded
-    quotient v / s, the same float as float(Fraction(v, s)).
-    """
+    """Double-precision copy of the exact degree-p operator, built from its
+    integer rows."""
     import numpy as np
 
-    s, rows = build_ap(ctx, p).int_form()
     a = np.zeros((ctx.basis_size, ctx.basis_size))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(build_ap(ctx, p).int_form()):
         for j, v in row.items():
-            a[i, j] = v / s
+            a[i, j] = v
     return a
 
 

@@ -3,7 +3,6 @@
 import os
 import signal
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,10 +160,12 @@ class TestMutationProbe:
     The golden-matrix check fails at n = 2, and so does the closed-form
     comparison there (the branch collision at n = 2 destroys the quantum wrap
     coefficient).  At n = 3 the two conventions are conjugate by a diagonal
-    rescaling, so the closed-form comparison passes again: characteristic
-    polynomials are convention-invariant, the golden matrix is not.  The
-    dual-algorithm check stays green throughout, since both algorithms see
-    the same mutated matrix.
+    rescaling, so the closed-form comparison passes for every p != n:
+    characteristic polynomials are convention-invariant, the golden matrix is
+    not.  At p = n, though, A_1^n has not doubled yet, so build_ap refuses to
+    halve it at every n, and each check of that operator fails.  The
+    dual-algorithm check stays green wherever the operator is built, since
+    both algorithms see the same mutated matrix.
     """
 
     @pytest.fixture
@@ -181,19 +182,37 @@ class TestMutationProbe:
         assert [r.status for r in results] == ["fail"]
         assert results[0].witness is not None
 
-    def test_charpoly_main_flips_at_n2_but_not_n3(self, mutated):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_halving_refuses_only_p_equal_n(self, mutated, n):
+        ctx = make_context(n)
+        refused = []
+        for p in range(2 * n):
+            try:
+                ring.build_ap(ctx, p)
+            except ArithmeticError as exc:
+                assert str(exc) == f"A_1^{n} has an odd entry, so t_{n} has no integer operator"
+                refused.append(p)
+        assert refused == [n]
+
+    def test_charpoly_main_flips_at_every_n(self, mutated):
         at_n2 = run_check_cell("charpoly_main", 2)
-        assert any(r.status == "fail" for r in at_n2)
-        at_n3 = run_check_cell("charpoly_main", 3)
-        assert all(r.status == "pass" for r in at_n3)
+        assert [r.status for r in at_n2] == ["fail"] * 3
+        for n in (3, 4):
+            results = run_check_cell("charpoly_main", n)
+            assert [r.p for r in results if r.status == "fail"] == [n]
+            assert results[n - 1].detail.startswith(f"check raised ArithmeticError: A_1^{n} ")
 
     def test_dual_algorithms_still_agree(self, mutated):
         results = run_check_cell("charpoly_oracle", 2)
-        assert all(r.status == "pass" for r in results)
+        assert [r.status for r in results] == ["pass", "pass", "fail", "pass"]
+        assert results[2].detail.startswith("check raised ArithmeticError: A_1^2 ")
 
     def test_witness_present_iff_fail(self, mutated):
+        # a check that raised has no witness; every other failure has one
         for r in run_check_cell("chevalley_golden", 2) + run_check_cell("charpoly_main", 2):
-            assert (r.status == "fail") == (r.witness is not None)
+            raised = r.detail.startswith("check raised")
+            assert (r.status == "fail" and not raised) == (r.witness is not None)
+        assert sum(r.witness is not None for r in run_check_cell("charpoly_main", 2)) == 2
 
 
 def test_exceptions_become_failures(monkeypatch):
@@ -407,7 +426,7 @@ def test_records_pickle_and_refuse_assignment(name):
 
 def _reference_details(n):
     """diagonalization and simultaneous_diag details computed from the dense
-    Fraction view, with every eigenvector array built afresh for each use."""
+    view, with every eigenvector array built afresh for each use."""
     ctx = make_context(n)
     selectors = ["zero"] + list(range(2 * n - 1))
     a = np.array([[float(v) for v in row] for row in ring.build_ap(ctx, 1).rows])
@@ -440,7 +459,7 @@ def test_checks_read_no_dense_view(monkeypatch):
     integer form; reading Matrix.rows raises."""
 
     def dense_view(self):
-        raise AssertionError("dense Fraction view read")
+        raise AssertionError("dense view read")
 
     monkeypatch.setattr(ring.Matrix, "rows", property(dense_view))
     checks = [c for c in CHECK_IDS if c != "chevalley_golden"]
@@ -481,40 +500,52 @@ def test_commutativity_check_can_fail(monkeypatch):
     assert result.witness["ab"] != result.witness["ba"]
 
 
+def _doubled(op, p):
+    return op.scale(2)
+
+
+def _halved(op, p):
+    return ring.Matrix._exact(op.size, ring._halved(op, p))
+
+
 @pytest.mark.parametrize(
-    "factor, degrees, entry",
+    "mutate, degrees, entry",
     [
-        (2, range(3, 6), "2"),  # the halving dropped: 2 A_p from the middle degree on
-        (Fraction(1, 2), range(1, 3), "1/2"),  # a halving below the middle
+        (_doubled, range(3, 6), "2"),  # the halving dropped: 2 A_p from the middle degree on
+        (_halved, range(1, 3), None),  # a halving below the middle, which the halving refuses
     ],
     ids=["no_halving", "halved_below_the_middle"],
 )
-def test_unit_column_check_can_fail(monkeypatch, factor, degrees, entry):
+def test_unit_column_check_can_fail(monkeypatch, mutate, degrees, entry):
     real = verifier.build_ap
 
     def mutated(ctx, p):
         op = real(ctx, p)
-        return op.scale(factor) if p in degrees else op
+        return mutate(op, p) if p in degrees else op
 
     monkeypatch.setattr(verifier, "build_ap", mutated)
     results = run_check_cell("unit_column", 3)
     assert [r.p for r in results if r.status == "fail"] == list(degrees)
     # the witnesses are the ones the dense matrix-vector product gave, as
-    # strings: t_p expected, entry * t_p got
+    # strings: t_p expected, entry * t_p got; an operator below the middle
+    # holds entries 1, so the halving raises and the cell carries its message
     for p in degrees:
-        assert results[p].detail == "unit column is wrong"
-        assert results[p].witness == {
-            "expected": ["1" if i == p else "0" for i in range(6)],
-            "got": [entry if i == p else "0" for i in range(6)],
-        }
+        if entry is None:
+            assert results[p].detail.startswith(f"check raised ArithmeticError: A_1^{p} has an odd entry")
+            assert results[p].witness is None
+        else:
+            assert results[p].detail == "unit column is wrong"
+            assert results[p].witness == {
+                "expected": ["1" if i == p else "0" for i in range(6)],
+                "got": [entry if i == p else "0" for i in range(6)],
+            }
 
 
 def _without_doubling(ctx):
     """A_1 with the doubling entry t_1 * t_{n-1} = 2 t_n set to 1."""
-    _, rows = ring.build_a1(ctx).int_form()
-    rows = [dict(row) for row in rows]
+    rows = [dict(row) for row in ring.build_a1(ctx).int_form()]
     rows[ctx.n][ctx.n - 1] = 1
-    return ring.Matrix._exact(ctx.basis_size, 1, rows)
+    return ring.Matrix._exact(ctx.basis_size, rows)
 
 
 def test_cayley_hamilton_check_can_fail(monkeypatch):
