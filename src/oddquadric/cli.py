@@ -21,7 +21,7 @@ import sys
 from . import serialize, spectra, verifier
 from .charpoly import charpoly_faddeev, closed_form_charpoly
 from .ring import build_ap, make_context
-from .serialize import fmt_bool, fmt_float, frac_str, round9
+from .serialize import fmt_bool, fmt_float, round9
 
 EXIT_OK = 0
 EXIT_MISMATCH = 3
@@ -68,14 +68,13 @@ def cmd_charpoly(ctx, p):
         }
 
     def table():
-        closed_coeffs = None if closed is None else closed.coeffs
         rows = (
             [
                 ctx.n,
                 p,
                 k,
-                frac_str(c),
-                "" if closed is None else frac_str(closed_coeffs[k]),
+                str(c),
+                "" if closed is None else str(closed.coeffs[k]),
                 "" if match is None else fmt_bool(match),
             ]
             for k, c in enumerate(computed.coeffs)

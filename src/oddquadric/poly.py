@@ -1,34 +1,38 @@
-"""Exact univariate polynomials over the rationals, as values stored over the integers.
+"""Exact univariate polynomials over the integers.
 
-A polynomial is (1/den) * (num[0] + num[1] x + ... ) for a positive integer
-den and integer coefficients num, ascending by degree with trailing zeros
-trimmed, in lowest terms (den shares no factor with all of num); the zero
-polynomial is num = (0,) over 1.  The representation is unique, so equality
-compares it directly.  Poly is a value to compare and read, with no operator
-algebra: charpoly writes characteristic polynomials coefficient by
-coefficient, and the rest of the package reads them.  The one computation is
-a primitive-PRS gcd and Yun's squarefree decomposition, run in Z[x] on the
-integer numerators by pseudo-division; they back the repeated-root analysis.
+A polynomial is num[0] + num[1] x + ... for integer coefficients num,
+ascending by degree with trailing zeros trimmed; the zero polynomial is
+num = (0,).  The representation is unique, so equality compares it directly.
+Poly is a value to compare and read, with no operator algebra: charpoly
+writes characteristic polynomials coefficient by coefficient, and the rest of
+the package reads them.  The one computation is a primitive-PRS gcd and Yun's
+squarefree decomposition, run in Z[x] by pseudo-division; they back the
+repeated-root analysis.  Every polynomial the package forms is monic, and by
+Gauss's lemma so is every factor Yun takes from it.
 """
 
 from __future__ import annotations
 
-import numbers
-from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd
 
 
-def as_fraction(v) -> Fraction:
-    """Exact coercion to Fraction.
+def as_int(v) -> int:
+    """The int equal to v, for an integral value of any numeric type.
 
-    Fixed-width integer scalars (numpy's included) register as Integral and
-    would be stored raw inside Fraction, overflowing silently; route them
-    through int to keep the arithmetic arbitrary precision.
+    Fixed-width integers (numpy's included) go through int, so the arithmetic
+    stays arbitrary precision.  A value with no integer equal to it, such as
+    1/2, 0.5, nan or inf, raises ValueError.
     """
-    if isinstance(v, numbers.Integral) and not isinstance(v, int):
-        return Fraction(int(v))
-    return Fraction(v)
+    if type(v) is int:
+        return v
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ValueError(f"not an integer: {v!r}")
+    return i
 
 
 # Integer coefficient lists, ascending by degree; a nonzero list has a
@@ -101,44 +105,22 @@ def _gcd_ints(a, b) -> list[int]:
 
 
 class Poly:
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, int) else as_fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        self._set([c.numerator * (den // c.denominator) for c in cs], den)
-
-    def _set(self, num: list[int], den: int) -> None:
-        """Store (1/den) * num in lowest terms, trimmed, with a positive denominator."""
-        if den == 0:
-            raise ZeroDivisionError("polynomial with denominator 0")
-        num = _trim(num)
-        if den < 0:
-            den, num = -den, [-v for v in num]
-        if den > 1:
-            g = gcd(den, *num)
-            if g > 1:
-                den //= g
-                num = [v // g for v in num]
-        self._num = tuple(num)
-        self._den = den
+        self._num = tuple(_trim([as_int(c) for c in coeffs]))
 
     @staticmethod
-    def from_ints(num, den: int = 1) -> "Poly":
-        """The polynomial (1/den) * sum(num[k] x^k) for integers num and den."""
+    def from_ints(num) -> "Poly":
+        """The polynomial sum(num[k] x^k) for integers num, unchecked."""
         f = Poly.__new__(Poly)
-        f._set(list(num), den)
+        f._num = tuple(_trim(list(num)))
         return f
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Every coefficient as a Fraction, ascending by degree; built on each read."""
-        den = self._den
-        return tuple(Fraction(v, den) for v in self._num)
-
-    def int_form(self) -> tuple[int, tuple[int, ...]]:
-        """Denominator den and the integer coefficients of den*self, ascending."""
-        return self._den, self._num
+    def coeffs(self) -> tuple[int, ...]:
+        """The integer coefficients, ascending by degree: the stored tuple."""
+        return self._num
 
     @property
     def degree(self) -> int:
@@ -150,26 +132,21 @@ class Poly:
 
     @property
     def is_monic(self) -> bool:
-        return self._num[-1] == self._den
+        return self._num[-1] == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._den == other._den and self._num == other._num
+        return self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash(self._num)
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self.coeffs]})"
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no monic form")
-        return Poly.from_ints(self._num, self._num[-1])
+        return f"Poly({[str(c) for c in self._num]})"
 
     def derivative(self) -> "Poly":
-        return Poly.from_ints(_derivative(self._num), self._den)
+        return Poly.from_ints(_derivative(self._num))
 
     def zero_root_multiplicity(self) -> int:
         """Multiplicity of the root 0 (index of the lowest nonzero coefficient)."""
@@ -180,22 +157,21 @@ class Poly:
     def strip_zero_roots(self) -> tuple[int, "Poly"]:
         """Split off the power-of-the-variable factor: (k, g) with self = x^k * g."""
         k = self.zero_root_multiplicity()
-        return k, Poly.from_ints(self._num[k:], self._den)
-
-
-def _monic(a) -> Poly:
-    return Poly.from_ints(a, a[-1])
+        return k, Poly.from_ints(self._num[k:])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals, by the primitive PRS on the integer numerators.
+    """The gcd in Z[x], by the primitive PRS: primitive, with a positive
+    leading coefficient, so monic whenever a or b is monic (Gauss's lemma).
 
-    The gcd of two zero polynomials is zero.
+    The gcd of f and zero is the primitive part of f, and of two zero
+    polynomials zero.
     """
-    if a.is_zero or b.is_zero:
-        f = b if a.is_zero else a
-        return f if f.is_zero else f.monic()
-    return _monic(_gcd_ints(a._num, b._num))
+    if a.is_zero:
+        a, b = b, a
+    if a.is_zero:
+        return a
+    return Poly.from_ints(_gcd_ints(a._num, b._num))
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -203,27 +179,24 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
     Requires a monic nonconstant input.  Factors of multiplicity i come out in
     increasing i, each with positive degree; multiplicities account for the
-    whole of f.  Runs in Z[x] on the primitive part of f's numerator: every
-    divisor is a primitive gcd, so by Gauss's lemma each quotient is integral.
+    whole of f.  Runs in Z[x]: every divisor is a primitive gcd, so by Gauss's
+    lemma each quotient is integral and each divisor monic; a divisor that is
+    not monic raises ArithmeticError.
     """
     if not f.is_monic:
         raise ValueError("squarefree decomposition requires a monic polynomial")
     if f.degree < 1:
         raise ValueError("squarefree decomposition requires a nonconstant polynomial")
-    num = _primitive(f._num)
-    dnum = _derivative(num)
-    a = _gcd_ints(num, dnum)
-    b = _exact_quo(num, a)
-    c = _exact_quo(dnum, a)
-    d = _sub(c, _derivative(b))
+    b, d = list(f._num), _derivative(f._num)
     out = []
-    i = 1
+    i = 0  # pass 0 divides out gcd(f, f'); pass i >= 1 takes the factor of multiplicity i
     while len(b) > 1:
         g = _gcd_ints(b, d)
-        if len(g) > 1:
-            out.append((_monic(g), i))
+        if g[-1] != 1:
+            raise ArithmeticError("a divisor of a monic polynomial is not monic")
+        if i and len(g) > 1:
+            out.append((Poly.from_ints(g), i))
         b = _exact_quo(b, g)
-        c = _exact_quo(d, g)
-        d = _sub(c, _derivative(b))
+        d = _sub(_exact_quo(d, g), _derivative(b))
         i += 1
     return out

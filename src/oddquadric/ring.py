@@ -17,20 +17,21 @@ from the middle degree on; see :func:`build_ap`.  Every operator is an integer
 matrix: its entries are 3-point genus-0 Gromov-Witten invariants, which are
 nonnegative integers on a homogeneous space.  The halving checks this, and
 every nonzero entry is 1 or 2 for every degree at 2 <= n <= 64 (tests/test_ring.py).
+Classes are integer vectors in basis coordinates, and their products are
+integer vectors too.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import index
 from typing import NamedTuple
 
-from .poly import as_fraction
+from .poly import as_int
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 
 class QuadricContext(NamedTuple):
@@ -87,13 +88,11 @@ class Matrix:
     __slots__ = ("size", "_rows", "_sel")
 
     def __init__(self, rows):
-        rows = [[as_fraction(v) for v in row] for row in rows]
+        rows = [[as_int(v) for v in row] for row in rows]
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
-        if any(v.denominator != 1 for row in rows for v in row):
-            raise ValueError("matrix entries must be integers")
         self.size, self._sel = len(rows), None
-        self._rows = tuple({j: v.numerator for j, v in enumerate(row) if v} for row in rows)
+        self._rows = tuple({j: v for j, v in enumerate(row) if v} for row in rows)
 
     @staticmethod
     def _exact(size: int, rows) -> "Matrix":
@@ -168,17 +167,12 @@ class Matrix:
         return Matrix._exact(self.size, rows)
 
     def apply(self, vec) -> Vector:
-        """Matrix-vector product, exact.
-
-        The vector is put over one common denominator d, so each output entry
-        is one integer dot product over d.
-        """
+        """Matrix-vector product of an integer vector, exact: each entry of
+        vec goes through as_int, and each output entry is an int."""
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        vec = [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in vec]
-        d = lcm(*(x.denominator for x in vec))
-        w = [x.numerator * (d // x.denominator) for x in vec]
-        return tuple(Fraction(sum(v * w[j] for j, v in row.items()), d) for row in self._rows)
+        w = list(map(as_int, vec))
+        return tuple(sum(v * w[j] for j, v in row.items()) for row in self._rows)
 
 
 def _row_selections(rows) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, tuple]]]:
@@ -255,7 +249,7 @@ def _shift_diagonal(rows: list, scale: list[int], c: int) -> tuple[list, list[in
 def basis_vector(ctx: QuadricContext, p: int) -> Vector:
     """Coordinate vector of the basis class t_p."""
     check_index(ctx, p)
-    return tuple(Fraction(1) if i == p else Fraction(0) for i in range(ctx.basis_size))
+    return tuple(int(i == p) for i in range(ctx.basis_size))
 
 
 def chevalley_column(ctx: QuadricContext, p: int) -> tuple[tuple[int, int], ...]:
@@ -340,7 +334,8 @@ def build_ap(ctx: QuadricContext, p: int) -> Matrix:
 
 
 def star_multiply(ctx: QuadricContext, a, b) -> Vector:
-    """Product of two classes written in basis coordinates.
+    """Product of two integer classes written in basis coordinates, each
+    coordinate taken through as_int.
 
     Bilinear extension of the operator action: (sum_p a_p A_p) applied to b.
     Commutativity and associativity are properties of the ring, exercised by
@@ -348,10 +343,10 @@ def star_multiply(ctx: QuadricContext, a, b) -> Vector:
     """
     if len(a) != ctx.basis_size or len(b) != ctx.basis_size:
         raise ValueError(f"class vectors must have length {ctx.basis_size}")
-    b = tuple(as_fraction(v) for v in b)
-    out = [Fraction(0)] * ctx.basis_size
+    b = tuple(map(as_int, b))
+    out = [0] * ctx.basis_size
     for p, coeff in enumerate(a):
-        coeff = as_fraction(coeff)
+        coeff = as_int(coeff)
         if not coeff:
             continue
         image = build_ap(ctx, p).apply(b)

@@ -1,10 +1,9 @@
 """Wire formats: JSON, CSV and plain-text emitters shared by the CLI.
 
-Exact rationals always travel as decimal strings ("num/den", denominator
-omitted when 1): big integers overflow native JSON numbers, and strings keep
-comparisons bit-exact across runs.  Floats are rounded to 9 significant
-digits in every machine format.  JSON documents are canonical (sorted keys,
-ASCII) so repeated runs are byte-identical.
+Exact integers always travel as decimal strings: big integers overflow native
+JSON numbers, and strings keep comparisons bit-exact across runs.  Floats are
+rounded to 9 significant digits in every machine format.  JSON documents are
+canonical (sorted keys, ASCII) so repeated runs are byte-identical.
 
 dumps_canonical prints exactly what json.dump(obj, fp, sort_keys=True,
 indent=2, ensure_ascii=True) prints, from a writer of its own: json.dump
@@ -19,7 +18,6 @@ import csv
 import io
 import json
 import math
-from fractions import Fraction
 
 from .poly import Poly
 
@@ -27,13 +25,6 @@ TOOL = "oddquadric"
 VERSION = "0.1.0"
 
 WITNESS_CAP_BYTES = 64 * 1024
-
-
-def frac_str(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def round9(x: float) -> float:
@@ -58,7 +49,7 @@ def fmt_complex(z: complex) -> str:
 
 
 def poly_json(f: Poly) -> dict:
-    return {"coeffs_ascending": [frac_str(c) for c in f.coeffs]}
+    return {"coeffs_ascending": [str(c) for c in f.coeffs]}
 
 
 def poly_text(f: Poly) -> str:
@@ -71,9 +62,9 @@ def poly_text(f: Poly) -> str:
             continue
         mag = abs(c)
         if k == 0:
-            body = frac_str(mag)
+            body = str(mag)
         else:
-            head = "" if mag == 1 else frac_str(mag)
+            head = "" if mag == 1 else str(mag)
             body = f"{head}λ" if k == 1 else f"{head}λ^{k}"
         if not terms:
             terms.append(body if c >= 0 else f"-{body}")
@@ -83,7 +74,7 @@ def poly_text(f: Poly) -> str:
 
 
 def matrix_json(m) -> dict:
-    return {"size": m.size, "rows": [[frac_str(v) for v in row] for row in m.rows]}
+    return {"size": m.size, "rows": [[str(v) for v in row] for row in m.rows]}
 
 
 def matrix_blob(m) -> str:
@@ -92,7 +83,7 @@ def matrix_blob(m) -> str:
 
 
 def vector_json(vec) -> list[str]:
-    return [frac_str(v) for v in vec]
+    return [str(v) for v in vec]
 
 
 def eigenpair_json(ep) -> dict:

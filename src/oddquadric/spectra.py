@@ -414,9 +414,8 @@ def _roots_batch(polys: list[Poly]) -> list:
         k, g = f.strip_zero_roots()
         found.append([[[0j], k]] if k else [])
         for factor, mult in squarefree_decomposition(g) if g.degree > 0 else ():
-            den, num = factor.int_form()
-            try:  # one int/int division per coefficient, the float that float(Fraction) gives
-                coeffs = [v / den for v in num]
+            try:
+                coeffs = list(map(float, factor.coeffs))
             except OverflowError:
                 error = RootFindingError("a coefficient of a squarefree factor is outside the double range")
                 found[-1].append([error, mult])

@@ -198,7 +198,7 @@ def _check_grading(n, p):
                 return False, f"nonzero entry at ({j},{i}) violates degree grading", {
                     "row": j,
                     "col": i,
-                    "entry": serialize.frac_str(v),
+                    "entry": str(v),
                 }
     return True, "all nonzero entries respect the degree grading", None
 

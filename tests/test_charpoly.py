@@ -252,7 +252,7 @@ import sys
 import time
 from fractions import Fraction
 
-from oddquadric import Matrix, QuadricContext, charpoly, make_context, ring, spectra
+from oddquadric import Matrix, Poly, QuadricContext, charpoly, make_context, poly, ring, spectra
 
 
 class SkewedContext(QuadricContext):
@@ -260,13 +260,15 @@ class SkewedContext(QuadricContext):
         return 2  # divides no 2n-1, so the multiplicities cannot add up
 
 
-# Corrupt the trace recursion, the closed form and the degree-one rule; the
-# guards must catch all three.  The product kernel returns all-ones rows under
-# unit multipliers, and every binomial coefficient is doubled.  The halving is
-# handed the identity, whose entries are odd.
+# Corrupt the trace recursion, the closed form, the degree-one rule and the
+# gcd; the guards must catch all four.  The product kernel returns all-ones
+# rows under unit multipliers, and every binomial coefficient is doubled.  The
+# halving is handed the identity, whose entries are odd.  The gcd returns
+# 2x + 1, primitive but not monic, so no divisor of a monic polynomial.
 charpoly._product_rows = lambda a, b, scale: ([dict.fromkeys(range(len(b)), 1) for _ in b], [1] * len(b))
 charpoly.comb = lambda n, k: 2 * math.comb(n, k)
 ring.chevalley_column = lambda ctx, p: ((p, Fraction(1, 3)),)
+poly._gcd_ints = lambda a, b: [1, 2]
 
 cases = [
     ("integrality", ArithmeticError, lambda: charpoly.charpoly_faddeev(Matrix.identity(3))),
@@ -275,6 +277,7 @@ cases = [
     ("multiplicities", ArithmeticError, lambda: spectra.closed_eigenvalues(SkewedContext(3), 1)),
     ("rule-integers", ValueError, lambda: ring.build_a1(make_context(2))),
     ("even-power", ArithmeticError, lambda: ring._halved(Matrix.identity(2), 1)),
+    ("yun-monic", ArithmeticError, lambda: poly.squarefree_decomposition(Poly([-1, 0, 1]))),
 ]
 fired = []
 for name, exc, call in cases:
@@ -295,7 +298,7 @@ def test_invariants_raise_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
         "1", "integrality", "cayley-hamilton", "monic", "multiplicities", "rule-integers",
-        "even-power",
+        "even-power", "yun-monic",
     ]
 
 

@@ -161,8 +161,8 @@ class TestCharpoly:
         )
 
     def test_text_reads_the_coefficients_once(self):
-        # Each read of Poly.coeffs builds every coefficient afresh, so reading
-        # it once per term makes the rendering quadratic in the degree.
+        # poly_text reads Poly.coeffs once for the whole rendering, not once
+        # per term.
         from oddquadric import Poly
 
         class CountingPoly(Poly):

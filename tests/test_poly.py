@@ -1,16 +1,27 @@
 """Exact polynomial values, gcd, and squarefree machinery."""
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coefficient_lists import mul
-from oddquadric import Poly, make_context, poly, poly_gcd, squarefree_decomposition
+from oddquadric import (
+    Matrix,
+    Poly,
+    basis_vector,
+    make_context,
+    poly,
+    poly_gcd,
+    squarefree_decomposition,
+    star_multiply,
+)
 from oddquadric.charpoly import closed_form_charpoly
-from oddquadric.serialize import frac_str, poly_json
+from oddquadric.serialize import poly_json
 
 small_lists = st.lists(st.integers(-6, 6), min_size=1, max_size=6)
 small_polys = st.builds(Poly, small_lists)
@@ -31,10 +42,11 @@ def test_degree_and_leading():
 
 
 def test_scale_and_monic():
-    f = Poly([2, 0, 4])
-    assert f.monic().coeffs == (Fraction(1, 2), 0, 1)
+    # a monic form of 2 + 4x^2 would have the coefficient 1/2, which no Poly holds
+    with pytest.raises(AttributeError):
+        Poly([2, 0, 4]).monic()
     with pytest.raises(ValueError):
-        Poly([0]).monic()
+        Poly([Fraction(1, 2), 0, 1])
 
 
 def test_derivative():
@@ -56,7 +68,15 @@ def test_gcd_known_values():
     g = Poly(mul(x_minus_1, [3, 1]))
     assert poly_gcd(f, g) == Poly(x_minus_1)
     assert poly_gcd(Poly(cubic), Poly([0, 0, 3])).degree == 0
-    assert poly_gcd(f, Poly([0])) == f.monic()
+    assert poly_gcd(f, Poly([0])) == f
+
+
+def test_gcd_is_primitive_with_a_positive_leading_coefficient():
+    assert poly_gcd(Poly([1, 2]), Poly([2, 4])) == Poly([1, 2])
+    assert poly_gcd(Poly([6, 6]), Poly([4, 4])) == Poly([1, 1])
+    assert poly_gcd(Poly([-6, 0, -4]), Poly([0])) == Poly([3, 0, 2])
+    assert poly_gcd(Poly([0]), Poly([-6, 0, -4])) == Poly([3, 0, 2])
+    assert poly_gcd(Poly([0]), Poly([0])) == Poly([0])
 
 
 def test_squarefree_decomposition_known():
@@ -78,6 +98,13 @@ def test_squarefree_decomposition_requires_monic_nonconstant():
         squarefree_decomposition(Poly([1]))
 
 
+def test_squarefree_decomposition_refuses_a_divisor_that_is_not_monic(monkeypatch):
+    # 2x + 1 is primitive, but no divisor of the monic x^2 - 1
+    monkeypatch.setattr(poly, "_gcd_ints", lambda a, b: [1, 2])
+    with pytest.raises(ArithmeticError, match="not monic"):
+        squarefree_decomposition(Poly([-1, 0, 1]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(a=small_lists, b=small_lists)
 def test_product_rule(a, b):
@@ -95,9 +122,9 @@ def test_gcd_divides_both(f, g):
 
 
 @settings(max_examples=30, deadline=None)
-@given(f=nonzero_polys.filter(lambda f: f.degree >= 1))
-def test_squarefree_decomposition_reassembles(f):
-    m = f.monic()
+@given(cs=small_lists)
+def test_squarefree_decomposition_reassembles(cs):
+    m = Poly(cs + [1])
     factors = [list(g.coeffs) for g, mult in squarefree_decomposition(m) for _ in range(mult)]
     assert Poly(mul(*factors)) == m
 
@@ -125,6 +152,16 @@ def _ref_divmod(a, b):
 
 def _ref_monic(a):
     return [c / a[-1] for c in a]
+
+
+def _ref_primitive(a):
+    """The primitive form of a Fraction list: integers without a common
+    factor, with a positive leading coefficient; [0] stays [0]."""
+    a = [c * math.lcm(*(c.denominator for c in a)) for c in a]
+    g = math.gcd(*(c.numerator for c in a)) or 1
+    if a[-1] < 0:
+        g = -g
+    return [int(c / g) for c in a]
 
 
 def _ref_gcd(a, b):
@@ -159,16 +196,10 @@ def _ref_yun(f):
     return out
 
 
-rationals = st.fractions(-5, 5, max_denominator=6)
-rational_lists = st.lists(rationals, min_size=1, max_size=7)
-#: Monic with at least one non-integral coefficient, so the integer core
-#: must carry a denominator through Yun.
-nonintegral_monic = st.lists(rationals, min_size=1, max_size=6).map(lambda cs: cs + [1]).filter(
-    lambda cs: any(c.denominator > 1 for c in cs)
-)
-
-
 int_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(poly._trim)
+#: Wider than int_lists, so a gcd often has a content to divide out.
+wide_lists = st.lists(st.integers(-30, 30), min_size=1, max_size=7)
+monic_lists = st.lists(st.integers(-5, 5), min_size=1, max_size=6).map(lambda cs: cs + [1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -186,24 +217,24 @@ def test_divmod_and_exact_div_match_fraction_reference(a, b):
 
 
 @settings(max_examples=80, deadline=None)
-@given(a=rational_lists, b=rational_lists)
+@given(a=wide_lists, b=wide_lists)
 def test_gcd_matches_fraction_reference(a, b):
-    assert list(poly_gcd(Poly(a), Poly(b)).coeffs) == _ref_gcd(a, b)
+    assert list(poly_gcd(Poly(a), Poly(b)).coeffs) == _ref_primitive(_ref_gcd(a, b))
 
 
 @settings(max_examples=60, deadline=None)
-@given(g=rational_lists, h=rational_lists)
+@given(g=wide_lists, h=wide_lists)
 def test_gcd_of_products_matches_fraction_reference(g, h):
     a, b = Poly(mul(g, h, g)), Poly(mul(g, h, [h[0] + 1] + h[1:]))
-    assert list(poly_gcd(a, b).coeffs) == _ref_gcd(list(a.coeffs), list(b.coeffs))
+    assert list(poly_gcd(a, b).coeffs) == _ref_primitive(_ref_gcd(list(a.coeffs), list(b.coeffs)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(cs=nonintegral_monic, k=st.integers(1, 3), extra=nonintegral_monic)
+@given(cs=monic_lists, k=st.integers(1, 3), extra=monic_lists)
 def test_squarefree_matches_fraction_reference(cs, k, extra):
     f = Poly(mul(*[cs] * k, extra))
     got = [(list(g.coeffs), i) for g, i in squarefree_decomposition(f)]
-    assert got == _ref_yun(list(f.coeffs))
+    assert got == [(_ref_primitive(g), i) for g, i in _ref_yun(list(f.coeffs))]
     assert all(g.is_monic for g, _ in squarefree_decomposition(f))
 
 
@@ -222,14 +253,54 @@ def test_closed_form_yun_is_one_binomial(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cs=rational_lists)
+@given(cs=wide_lists)
 def test_views_match_the_fraction_coefficients(cs):
-    """repr, hash, == and the JSON round trip read as they did over Fraction tuples."""
+    """coeffs is the stored tuple of ints; repr, hash, == and the JSON round
+    trip read as they did over Fraction tuples."""
     f = Poly(cs)
     ref = tuple(_ref_trim(cs))
-    assert f.coeffs == ref and all(type(c) is Fraction for c in f.coeffs)
+    assert f.coeffs == ref and all(type(c) is int for c in f.coeffs)
+    assert f.coeffs is f.coeffs
     assert repr(f) == f"Poly({[str(c) for c in ref]})"
     assert hash(f) == hash(ref)
     assert f == Poly(list(ref) + [0, 0]) and f != Poly(list(ref) + [1])
-    assert poly_json(f) == {"coeffs_ascending": [frac_str(c) for c in ref]}
-    assert Poly([Fraction(s) for s in poly_json(f)["coeffs_ascending"]]) == f
+    assert poly_json(f) == {"coeffs_ascending": [str(c) for c in ref]}
+    assert Poly([int(s) for s in poly_json(f)["coeffs_ascending"]]) == f
+
+
+_CTX = make_context(2)
+_E0 = basis_vector(_CTX, 0)
+#: Every way a value enters the exact layer, each returning the int it became.
+ENTRY_POINTS = {
+    "Poly": lambda v: Poly([v, 1]).coeffs[0],
+    "Matrix": lambda v: Matrix([[v, 0], [0, 1]]).rows[0][0],
+    "apply": lambda v: Matrix.identity(2).apply([v, 0])[0],
+    "star_multiply-a": lambda v: star_multiply(_CTX, (v, 0, 0, 0), _E0)[0],
+    "star_multiply-b": lambda v: star_multiply(_CTX, _E0, (v, 0, 0, 0))[0],
+}
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (7, 7),
+        (np.int64(7), 7),
+        (Fraction(4, 2), 2),
+        (3.0, 3),
+        (Fraction(1, 2), None),
+        (0.5, None),
+        (math.nan, None),
+        (math.inf, None),
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_values_enter_through_as_int(entry, value, expected):
+    """An integral value of any numeric type becomes an int; anything else
+    raises ValueError, never OverflowError."""
+    if expected is None:
+        with pytest.raises(ValueError, match="not an integer"):
+            ENTRY_POINTS[entry](value)
+    else:
+        got = ENTRY_POINTS[entry](value)
+        assert got == expected and type(got) is int

@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -550,8 +549,8 @@ class TestRootsBatch:
         def quadratic(b, c):  # x^2 + bx + c: the other shape, for b, c != 0
             return [c, b, 1]
 
-        # Roots 1 +- 10^-6 take 30 sweeps, every other factor here at most 9.
-        close = quadratic(-2, 1 - Fraction(1, 10**12))
+        # Roots 10^6 +- 1 take 27 sweeps, every other factor here at most 9.
+        close = quadratic(-2 * 10**6, 10**12 - 1)
         assert not isinstance(_roots_batch([Poly(close)])[0], RootFindingError)
         monkeypatch.setattr(spectra, "DK_MAX_ITER", 20)
 

@@ -1,5 +1,5 @@
-"""Start-up cost: a process loads numpy only when it runs it, and no pool library or
-`dataclasses` ever."""
+"""Start-up cost: a process loads numpy only when it runs it, and no pool library,
+`dataclasses`, `fractions` or `decimal` ever."""
 
 import json
 import os
@@ -27,7 +27,7 @@ if sys.argv[1:]:
     from oddquadric.cli import main
     with redirect_stdout(io.StringIO()):
         code = main(sys.argv[1:])
-heavy = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses")
+heavy = ("numpy", "concurrent.futures", "multiprocessing", "dataclasses", "fractions", "decimal")
 print(json.dumps([code, sorted(m for m in heavy if m in sys.modules), len(forks)]))
 """
 
