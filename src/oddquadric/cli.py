@@ -10,6 +10,9 @@ builder per format: "json" gives the JSON result, "csv" the CSV header and an
 iterable of rows, "text" the text lines.  main validates the inputs, calls
 the builder of the chosen format only, and renders it once, for every
 subcommand.
+
+``spectra`` and ``verifier`` load only for the commands that call them, so
+charpoly imports neither.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import argparse
 import os
 import sys
 
-from . import serialize, spectra, verifier
+from . import serialize
 from .charpoly import charpoly_faddeev, closed_form_charpoly
 from .ring import build_ap, make_context
 from .serialize import fmt_bool, fmt_float, round9
@@ -92,6 +95,8 @@ def cmd_charpoly(ctx, p):
 
 
 def cmd_spectrum(ctx, p):
+    from . import spectra
+
     report = spectra.spectrum_report(ctx, p)
 
     def table():
@@ -122,6 +127,8 @@ def cmd_spectrum(ctx, p):
 
 
 def cmd_fpdim(ctx, p):
+    from . import spectra
+
     value = spectra.fp_dim(ctx, p)
     return EXIT_OK, {
         "json": lambda: {"n": ctx.n, "p": p, "value": round9(value)},
@@ -131,6 +138,8 @@ def cmd_fpdim(ctx, p):
 
 
 def cmd_galkin(n_min, n_max):
+    from . import spectra
+
     results = [spectra.galkin_check(make_context(n)) for n in range(n_min, n_max + 1)]
     all_pass = all(r.passed for r in results)
     code = EXIT_OK if all_pass else EXIT_MISMATCH
@@ -232,6 +241,8 @@ def main(argv=None) -> int:
         else:
             if args.jobs < 1:
                 parser.error("jobs must be at least 1")
+            from . import verifier
+
             # None only when --checks is absent; a list naming no check is rejected.
             checks = None
             if args.checks is not None:

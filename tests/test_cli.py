@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -499,9 +500,33 @@ README_CLI = [
 
 
 class TestPublicSurface:
-    def test_all_names_resolve_once(self):
+    def test_all_names_resolve_once(self, monkeypatch):
         assert len(set(oddquadric.__all__)) == len(oddquadric.__all__)
-        assert [name for name in oddquadric.__all__ if not hasattr(oddquadric, name)] == []
+        table = {name: module for module, names in oddquadric._EXPORTS.items() for name in names}
+        assert sorted(oddquadric.__all__) == sorted(table) and len(table) == 38
+        assert set(oddquadric.__all__) | {"__version__"} <= set(dir(oddquadric))
+        for name, module in table.items():
+            source = importlib.import_module(f"oddquadric.{module}")
+            monkeypatch.delitem(vars(oddquadric), name, raising=False)
+            value = getattr(oddquadric, name)
+            assert value is getattr(source, name), name
+            # defined there, not only imported by it (constants carry no __module__)
+            assert getattr(value, "__module__", source.__name__) == source.__name__, name
+            assert vars(oddquadric)[name] is value, name  # later lookups are a dict hit
+        with pytest.raises(AttributeError, match="'oddquadric'.*'no_such_name'"):
+            oddquadric.no_such_name
+        # A fresh interpreter: nothing resolved on import, every name bound by *.
+        script = (
+            "import json, oddquadric\n"
+            "early = [n for n in oddquadric.__all__ if n in vars(oddquadric)]\n"
+            "ns = {}\n"
+            "exec('from oddquadric import *', ns)\n"
+            "print(json.dumps([early, sorted(n for n in ns if n != '__builtins__')]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[], sorted(oddquadric.__all__)]
 
     def test_readme_lists_cli_examples(self):
         assert len(README_CLI) >= 5
