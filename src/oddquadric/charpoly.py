@@ -124,8 +124,8 @@ def charpoly_cofactor(m: Matrix) -> Poly:
     return Poly.from_ints(det((1 << n) - 1))
 
 
-# typed, as for ring.build_ap: an untyped cache would return the p = 1 entry
-# for p = True once it is warm, skipping check_index.
+# typed: True == 1 and hash(True) == hash(1), so an untyped cache would return
+# the p = 1 entry for p = True once it is warm, skipping check_index.
 @lru_cache(maxsize=None, typed=True)
 def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
     """The closed-form characteristic polynomial for degree p, fully expanded.

@@ -12,11 +12,12 @@ the degree-one class t_1:
     t_1 * t_{2n-2} = t_{2n-1} + t_0     (quantum wrap of the top product)
     t_1 * t_{2n-1} = t_1                (point class wraps to degree one)
 
-Multiplication by any other basis class is a power of the t_1 operator, halved
-from the middle degree on; see :func:`build_ap`.  Every operator is an integer
-matrix: its entries are 3-point genus-0 Gromov-Witten invariants, which are
-nonnegative integers on a homogeneous space.  The halving checks this, and
-every nonzero entry is 1 or 2 for every degree at 2 <= n <= 64 (tests/test_ring.py).
+Multiplication by t_p is then A_p = A_1 * A_(p-1), halved once at the middle
+degree and shifted by -I at the point class; see :func:`build_ap`.  Every
+operator is an integer matrix: its entries are 3-point genus-0 Gromov-Witten
+invariants, which are nonnegative integers on a homogeneous space.  The halving
+checks this, and every nonzero entry is 1 or 2 for every degree at
+2 <= n <= 64 (tests/test_ring.py).
 Classes are integer vectors in basis coordinates, and their products are
 integer vectors too.
 """
@@ -271,12 +272,13 @@ def chevalley_column(ctx: QuadricContext, p: int) -> tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
-def build_a1(ctx: QuadricContext) -> Matrix:
-    """The 2n x 2n matrix of multiplication by the degree-one class.
+def _operators(ctx: QuadricContext) -> list[Matrix]:
+    """The operators A_0 = I, A_1, ... of ctx formed so far; build_ap extends
+    the list only as far as the degree it is asked for.
 
-    Column p holds the pairs chevalley_column(ctx, p), which go straight into
-    the integer rows: O(N) work, with no dense column.  Every coefficient must
-    be a nonzero integer; anything else raises ValueError.
+    Column p of A_1 holds the pairs chevalley_column(ctx, p), which go
+    straight into the integer rows: O(N) work, with no dense column.  Every
+    coefficient must be a nonzero integer; anything else raises ValueError.
     """
     rows = [{} for _ in range(ctx.basis_size)]
     for p in range(ctx.basis_size):
@@ -284,19 +286,13 @@ def build_a1(ctx: QuadricContext) -> Matrix:
             if not isinstance(v, int) or not v:
                 raise ValueError(f"Chevalley coefficients must be nonzero integers, got {v!r}")
             rows[i][p] = v
-    return Matrix._exact(ctx.basis_size, rows)
+    return [Matrix.identity(ctx.basis_size), Matrix._exact(ctx.basis_size, rows)]
 
 
-@lru_cache(maxsize=None)
-def _powers(a1: Matrix) -> list[Matrix]:
-    """The powers A^0, A^1, ... of the degree-one matrix A formed so far.
-
-    build_ap extends the list by A^k = A * A^(k-1) only as far as the degree
-    it is asked for.  The cache is keyed by the matrix, not the context, so
-    the powers always follow the degree-one matrix that build_a1 returns,
-    and A^1 is that matrix itself.
-    """
-    return [Matrix.identity(a1.size), a1]
+def build_a1(ctx: QuadricContext) -> Matrix:
+    """The 2n x 2n matrix of multiplication by the degree-one class, built
+    from chevalley_column once per context."""
+    return _operators(ctx)[1]
 
 
 def _halved(m: Matrix, p: int) -> list[dict[int, int]]:
@@ -308,29 +304,27 @@ def _halved(m: Matrix, p: int) -> list[dict[int, int]]:
     return [{j: v >> 1 for j, v in row.items()} for row in rows]
 
 
-# typed: True == 1 and hash(True) == hash(1), so an untyped cache would let
-# build_ap(ctx, True) skip check_index and return A_1.
-@lru_cache(maxsize=None, typed=True)
 def build_ap(ctx: QuadricContext, p: int) -> Matrix:
     """The matrix of multiplication by the basis class t_p.
 
-    t_0 acts as the identity; below the middle degree the operator is a plain
-    power of the t_1 matrix, from the middle on it is half that power, and the
-    point class is half the top power minus the identity.  The halving is
-    exact: see _halved.
+    The Chevalley rule gives A_p = A_1 * A_(p-1), except that the product
+    is 2 A_n at the middle degree and A_(2n-1) + I at the top.  So t_0 acts
+    as the identity, and each operator is formed once per context from the
+    one before it: halved at p = n, which is exact (see _halved), and minus
+    the identity at the point class.  An A_p off those two degrees shares
+    all but two rows with A_(p-1).
     """
     check_index(ctx, p)
-    a1 = build_a1(ctx)
-    powers = _powers(a1)
-    while len(powers) <= p:
-        powers.append(a1 * powers[-1])
-    mat = powers[p]
-    if p >= ctx.n:
-        rows = _halved(mat, p)
-        if p == ctx.dim:
-            rows, _ = _shift_diagonal(rows, [1] * mat.size, -1)
-        mat = Matrix._exact(mat.size, rows)
-    return mat
+    ops = _operators(ctx)
+    while len(ops) <= p:
+        q, mat = len(ops), ops[1] * ops[-1]
+        if q == ctx.n:
+            mat = Matrix._exact(mat.size, _halved(mat, q))
+        elif q == ctx.dim:
+            rows, _ = _shift_diagonal(list(mat.int_form()), [1] * mat.size, -1)
+            mat = Matrix._exact(mat.size, rows)
+        ops.append(mat)
+    return ops[p]
 
 
 def star_multiply(ctx: QuadricContext, a, b) -> Vector:

@@ -192,12 +192,12 @@ class TestBuildA1:
         # A stored 0 would break the row type's equality, and Matrix._exact
         # checks no entry, so nothing else would catch a Fraction.
         monkeypatch.setattr(ring, "chevalley_column", lambda ctx, p: ((p, coeff),))
-        ring.build_a1.cache_clear()
+        ring._operators.cache_clear()
         try:
             with pytest.raises(ValueError):
                 build_a1(make_context(2))
         finally:
-            ring.build_a1.cache_clear()
+            ring._operators.cache_clear()
 
     def test_cold_build_is_linear_in_the_basis_size(self):
         # The rule's 2n + 1 pairs go straight into the rows; a walk over the
@@ -209,7 +209,7 @@ class TestBuildA1:
             nonlocal calls
             calls += event == "call"
 
-        ring.build_a1.cache_clear()
+        ring._operators.cache_clear()
         sys.setprofile(count)
         try:
             build_a1(ctx)
@@ -257,16 +257,27 @@ class TestBuildAp:
 
     def test_powers_formed_only_up_to_the_degree_asked(self):
         ctx = make_context(512)
-        ring.build_ap.cache_clear()
-        ring._powers.cache_clear()
+        ring._operators.cache_clear()
         build_ap(ctx, 19)
-        assert len(ring._powers(build_a1(ctx))) == 20  # A^0 .. A^19, not all 1,024
+        assert len(ring._operators(ctx)) == 20  # A_0 .. A_19, not all 1,024
 
     def test_degree_one_operator_is_build_a1(self):
-        # A^1 is the degree-one matrix itself, not a product A * I
-        ring.build_ap.cache_clear()
+        # A_1 is the degree-one matrix itself, not a product A_1 * I
+        ring._operators.cache_clear()
         ctx = make_context(5)
         assert build_ap(ctx, 1) is build_a1(ctx)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_each_operator_shares_all_but_two_rows_with_the_one_before(self, n):
+        # A_p = A_1 * A_(p-1) takes each row of A_(p-1) that a single 1 of
+        # A_1 selects; only the doubled row and the wrapped row are new.
+        ctx = make_context(n)
+        for p in range(2, 2 * n - 1):
+            if p == n:
+                continue
+            before = {id(row) for row in build_ap(ctx, p - 1).int_form()}
+            new = [row for row in build_ap(ctx, p).int_form() if id(row) not in before]
+            assert len(new) <= 2, (p, len(new))
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_at_most_two_nonzeros_per_row_and_column(self, n):
@@ -308,7 +319,8 @@ class TestBuildAp:
             build_ap(ctx, -1)
 
     def test_bool_rejected_after_a_warm_cache(self):
-        # True == 1 and hash(True) == hash(1): an untyped cache would hand back A_1.
+        # True == 1 and a list index accepts it, so without check_index on
+        # every call the operator table would hand back A_1.
         ctx = make_context(2)
         build_ap(ctx, 1)
         with pytest.raises(ValueError):

@@ -160,22 +160,21 @@ class TestMutationProbe:
     The golden-matrix check fails at n = 2, and so does the closed-form
     comparison there (the branch collision at n = 2 destroys the quantum wrap
     coefficient).  At n = 3 the two conventions are conjugate by a diagonal
-    rescaling, so the closed-form comparison passes for every p != n:
+    rescaling, so the closed-form comparison passes for every p < n:
     characteristic polynomials are convention-invariant, the golden matrix is
     not.  At p = n, though, A_1^n has not doubled yet, so build_ap refuses to
-    halve it at every n, and each check of that operator fails.  The
-    dual-algorithm check stays green wherever the operator is built, since
-    both algorithms see the same mutated matrix.
+    halve it at every n.  Each A_p above is formed from A_(p-1), so no
+    operator from the middle degree on can be formed, and each check of those
+    operators fails.  The dual-algorithm check stays green wherever the
+    operator is built, since both algorithms see the same mutated matrix.
     """
 
     @pytest.fixture
     def mutated(self, monkeypatch):
-        ring.build_a1.cache_clear()
-        ring.build_ap.cache_clear()
+        ring._operators.cache_clear()
         monkeypatch.setattr(ring, "chevalley_column", _literal_rule_column)
         yield
-        ring.build_a1.cache_clear()
-        ring.build_ap.cache_clear()
+        ring._operators.cache_clear()
 
     def test_golden_flips_at_n2(self, mutated):
         results = run_check_cell("chevalley_golden", 2)
@@ -183,7 +182,7 @@ class TestMutationProbe:
         assert results[0].witness is not None
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_the_halving_refuses_only_p_equal_n(self, mutated, n):
+    def test_the_halving_refuses_every_p_from_n_on(self, mutated, n):
         ctx = make_context(n)
         refused = []
         for p in range(2 * n):
@@ -192,27 +191,29 @@ class TestMutationProbe:
             except ArithmeticError as exc:
                 assert str(exc) == f"A_1^{n} has an odd entry, so t_{n} has no integer operator"
                 refused.append(p)
-        assert refused == [n]
+        assert refused == list(range(n, 2 * n))
 
     def test_charpoly_main_flips_at_every_n(self, mutated):
         at_n2 = run_check_cell("charpoly_main", 2)
         assert [r.status for r in at_n2] == ["fail"] * 3
         for n in (3, 4):
             results = run_check_cell("charpoly_main", n)
-            assert [r.p for r in results if r.status == "fail"] == [n]
-            assert results[n - 1].detail.startswith(f"check raised ArithmeticError: A_1^{n} ")
+            assert [r.p for r in results if r.status == "fail"] == list(range(n, 2 * n))
+            for r in results[n - 1 :]:
+                assert r.detail.startswith(f"check raised ArithmeticError: A_1^{n} ")
 
     def test_dual_algorithms_still_agree(self, mutated):
         results = run_check_cell("charpoly_oracle", 2)
-        assert [r.status for r in results] == ["pass", "pass", "fail", "pass"]
-        assert results[2].detail.startswith("check raised ArithmeticError: A_1^2 ")
+        assert [r.status for r in results] == ["pass", "pass", "fail", "fail"]
+        for r in results[2:]:
+            assert r.detail.startswith("check raised ArithmeticError: A_1^2 ")
 
     def test_witness_present_iff_fail(self, mutated):
         # a check that raised has no witness; every other failure has one
         for r in run_check_cell("chevalley_golden", 2) + run_check_cell("charpoly_main", 2):
             raised = r.detail.startswith("check raised")
             assert (r.status == "fail" and not raised) == (r.witness is not None)
-        assert sum(r.witness is not None for r in run_check_cell("charpoly_main", 2)) == 2
+        assert sum(r.witness is not None for r in run_check_cell("charpoly_main", 2)) == 1
 
 
 def test_exceptions_become_failures(monkeypatch):
