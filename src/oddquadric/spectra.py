@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import isfinite, ulp
+from math import isfinite, nan, ulp
 from operator import sub, truediv
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -41,6 +41,15 @@ DK_MAX_ITER = 500
 # with 256 KiB to 1 MiB, 3.13 s with 4 and 16 MiB, and 3.49 s one at a time.
 # At 512 KiB a part holds 4 polynomials of degree 63 and 29 of degree 23.
 DK_BATCH_BYTES = 1 << 19
+# Fewest points of a part whose sweeps run in numpy arrays (_complex_quotient,
+# _largest_moduli); a smaller part keeps its points in a list and divides in
+# Python.  Time of one batch on the numpy path over the list path, medians of 9
+# alternating runs on a 2-vCPU Xeon: 1.13 at 46 points, 1.02 at 62, 0.98 at 69,
+# 1.05 at 75, 0.95 at 78, 0.94 at 90, 0.89 at 92, 0.85 at 120 and 0.67 at 506
+# (degrees 15 to 39).  So root_sweep's single factors (at most 39 points) and
+# galkin's cross-check (at most 23) stay in lists, and fpdim_consistency's
+# largest part at each n goes to numpy from n = 6 on (110 points and more).
+DK_NUMPY_POINTS = 96
 GALKIN_CROSSCHECK_MAX_N = 12
 
 
@@ -297,11 +306,17 @@ def durand_kerner_batch(polys, runs) -> list:
     1+0j to one width.  The padding multiplies exactly, and the leading
     coefficient is the 1+0j padding's last column.  The differences x - y
     and the added coefficients are single IEEE subtractions and additions,
-    the same in both.  The quotient val / den, abs, the point update and both
-    tests stay in Python: numpy's elementwise complex `*` may use fused
-    multiply-adds and its `/` a scaled quotient, which round differently.
-    TestNumpyRoundingContract in tests/test_spectra.py pins the two numpy
-    assumptions by name.
+    the same in both.  The rest of a sweep depends on the size of the part.
+    A part of fewer than DK_NUMPY_POINTS points keeps them in a list, and the
+    quotient val / den, abs, the point update and both tests run in Python.
+    A larger part keeps its points in one complex array: _complex_quotient
+    replays CPython's quotient step by step with real ufuncs,
+    _largest_moduli takes abs as np.hypot and the max per polynomial, and
+    the point update is one numpy subtraction.  Neither uses numpy's
+    elementwise complex `*`, `/` or abs: the first may use fused
+    multiply-adds, the second is a scaled quotient, and the third has its
+    own hypot, and each rounds differently.  TestNumpyRoundingContract in
+    tests/test_spectra.py pins each numpy assumption by name.
     """
     deg = len(polys[0]) - 1
     width = max(runs[0][0] + 1, deg)
@@ -327,6 +342,58 @@ def _other_points(deg: int, size: int) -> np.ndarray:
     return others
 
 
+def _complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise, bit for bit as CPython's complex `/` divides.
+
+    CPython's _Py_c_quot is Smith's algorithm (R. L. Smith, CACM 5 (1962),
+    Algorithm 116): it divides through by whichever part of b is larger in
+    magnitude, b.real on a tie.  Each of its IEEE steps is replayed here with
+    a real ufunc, in its operand order: the imaginary numerator of the second
+    branch is a.imag * ratio - a.real, not the negated first-branch form,
+    which would turn a +0.0 into -0.0.  A b with a NaN part gives NaN + NaNj,
+    and a zero b raises the ZeroDivisionError that Python's division raises.
+    Call it under np.errstate(all="ignore").
+    """
+    import numpy as np
+
+    first = np.abs(b.real) >= np.abs(b.imag)
+    big, small = np.where(first, b.real, b.imag), np.where(first, b.imag, b.real)
+    u, v = np.where(first, a.real, a.imag), np.where(first, a.imag, a.real)
+    ratio = small / big
+    denom = big + small * ratio
+    t = u * ratio
+    out = np.empty(a.shape, complex)
+    out.real = (u + v * ratio) / denom
+    out.imag = np.where(first, v - t, t - v) / denom
+    # A zero or NaN divisor gives a NaN ratio, so only a NaN quotient needs a second look.
+    if np.isnan(out).any():
+        zero = np.flatnonzero(b == 0)
+        if len(zero):
+            a.item(zero[0]) / b.item(zero[0])  # raises Python's own error
+        out[np.isnan(b)] = complex(nan, nan)
+    return out
+
+
+def _largest_moduli(steps: np.ndarray, deg: int) -> list[float]:
+    """max(map(abs, row)) over each row of deg steps, bit for bit, or a value
+    that is not finite for a row with a part that is not finite.
+
+    Python's abs of a finite complex is the C library's hypot of its parts,
+    as np.hypot computes it, and np.max carries a NaN or an infinity through.
+    A finite step whose hypot overflows raises Python's own OverflowError, as
+    abs does.  Call it under np.errstate(all="ignore").
+    """
+    import numpy as np
+
+    sizes = np.hypot(steps.real, steps.imag)
+    tops = sizes.reshape(-1, deg).max(axis=1).tolist()
+    if not all(map(isfinite, tops)):
+        overflows = np.flatnonzero(np.isfinite(steps) & np.isinf(sizes))
+        if len(overflows):
+            abs(steps.item(overflows[0]))  # raises Python's own error
+    return tops
+
+
 def _durand_kerner_part(polys, runs, width, others) -> list:
     """The outcomes of durand_kerner_batch for one part, in the order of polys."""
     import numpy as np
@@ -342,6 +409,9 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
         radius = _initial_radius(coeffs)
         tol.append(max(DK_TOL, 4 * ulp(radius)))
         pts += [radius * cmath.exp(1j * (2 * cmath.pi * k / deg + 0.4)) for k in range(deg)]
+    large = len(pts) >= DK_NUMPY_POINTS
+    if large:
+        pts = np.array(pts)
 
     def times_power(val, x, k):
         """val * x**k for every point, as k products left to right along a row."""
@@ -359,7 +429,7 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
                 rows = len(pts)
                 given = np.repeat([polys[b] for b in live], deg, axis=0)
                 w = np.ones((2 * rows, width), complex)
-            x = np.array(pts)
+            x = pts if large else np.array(pts)
             w[:rows, xcol:] = x[:, None]
             np.subtract(x[:, None], x[others[:rows]], out=w[rows:, first:])
             reduced = np.multiply.reduce(w, axis=1)
@@ -369,24 +439,36 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
                     val = times_power(val, x, k)
                 if j is not None:
                     val = val + given[:, j]
-            steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
-            pts = list(map(sub, pts, steps))
-            sizes = list(map(abs, steps))
+            if large:
+                steps = _complex_quotient(val, reduced[rows:])
+                pts = pts - steps
+                tops = _largest_moduli(steps, deg)
+            else:
+                steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
+                pts = list(map(sub, pts, steps))
+                sizes = list(map(abs, steps))
+                # max() drops a NaN unless it comes first, so the finite test precedes it.
+                tops = [
+                    max(mine) if all(map(isfinite, mine)) else nan
+                    for mine in (sizes[i : i + deg] for i in range(0, rows, deg))
+                ]
             kept = []
             for i, b in enumerate(live):
-                mine = sizes[i * deg : (i + 1) * deg]
-                # max() drops a NaN unless it comes first, so this test precedes the convergence test.
-                if not all(map(isfinite, mine)):
+                if not isfinite(tops[i]):
                     outcomes[b] = RootFindingError("root iteration overflowed: an update is not finite")
                     continue
-                delta[b] = max(mine)
+                delta[b] = tops[i]
                 if delta[b] < tol[b]:
-                    outcomes[b] = pts[i * deg : (i + 1) * deg]
+                    roots = pts[i * deg : (i + 1) * deg]
+                    outcomes[b] = roots.tolist() if large else roots
                 else:
                     kept.append(i)
             if len(kept) < len(live):
                 live = [live[i] for i in kept]
-                pts = [z for i in kept for z in pts[i * deg : (i + 1) * deg]]
+                if large:
+                    pts = pts.reshape(-1, deg)[kept].ravel()
+                else:
+                    pts = [z for i in kept for z in pts[i * deg : (i + 1) * deg]]
                 if not live:
                     break
     for b in live:

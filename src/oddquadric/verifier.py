@@ -23,21 +23,9 @@ from .charpoly import (
 )
 from .poly import Poly
 from .ring import Matrix, build_a1, build_ap, make_context
-from .spectra import (
-    DIAG_RESIDUAL_TOL,
-    GALKIN_CROSSCHECK_MAX_N,
-    ROOT_MATCH_TOL,
-    SHARED_EIGVEC_TOL,
-    _eigen_selectors,
-    _eigenvector_matrix,
-    corollary_32_check,
-    fp_dim,
-    galkin_check,
-    located_radius,
-    operator_as_array,
-    operator_eigenvalue,
-    verify_diagonalization,
-)
+
+# The float checks import spectra's names where they run, so a run of exact
+# checks never loads spectra.
 
 #: The 4x4 degree-one operator of the smallest family member (n = 2), the
 #: golden value every build must reproduce entry for entry.
@@ -204,6 +192,8 @@ def _check_grading(n, p):
 
 
 def _check_diagonalization(n, p):
+    from .spectra import DIAG_RESIDUAL_TOL, verify_diagonalization
+
     ctx = make_context(n)
     report = verify_diagonalization(ctx)
     ok = report.residual_diag <= DIAG_RESIDUAL_TOL and report.p_invertible
@@ -220,6 +210,8 @@ def _check_diagonalization(n, p):
 
 
 def _check_corollary32(n, p):
+    from .spectra import corollary_32_check
+
     ctx = make_context(n)
     if corollary_32_check(ctx):
         return True, "eigenvalue identity (lam^(2n-1)-2)/2 in {-1,+1} holds", None
@@ -229,6 +221,14 @@ def _check_corollary32(n, p):
 def _check_simultaneous_diag(n, p):
     import numpy as np
 
+    from .spectra import (
+        SHARED_EIGVEC_TOL,
+        _eigen_selectors,
+        _eigenvector_matrix,
+        operator_as_array,
+        operator_eigenvalue,
+    )
+
     ctx = make_context(n)
     a = operator_as_array(ctx, p)
     e = _eigenvector_matrix(ctx)
@@ -237,8 +237,12 @@ def _check_simultaneous_diag(n, p):
     # no BLAS call starts threads that contend with the pool's workers (from
     # n = 24 on).  A_p has at most two nonzeros per row, each 1 or 2: every
     # entry is one rounding of exact products, the bits of one A_p v_j per
-    # eigenvector.  mu[:, None] * e scales each row by its scalar, as mu_j * v_j
-    # does, and np.max carries a NaN residual through, so the test below fails it.
+    # eigenvector.  mu[:, None] * e scales each row by its scalar, but with
+    # numpy's elementwise complex `*`, which uses fused multiply-adds where
+    # numpy's CPU dispatch allows them (X86_V3 and up), so its bits, and the
+    # residual printed, need not be CPython's mu_j * v_j: with X86_V3 dispatch
+    # off, 34 details of verify --n-max 12 change.  np.max carries a NaN
+    # residual through, so the test below fails it.
     rows, cols = np.nonzero(a)
     av = np.zeros_like(e)
     np.add.at(av, (slice(None), rows), e[:, cols] * a[rows, cols])
@@ -251,6 +255,8 @@ def _check_simultaneous_diag(n, p):
 
 
 def _check_fpdim_consistency(n, p):
+    from .spectra import ROOT_MATCH_TOL, fp_dim, located_radius
+
     ctx = make_context(n)
     closed = fp_dim(ctx, p)
     located = located_radius(ctx, p)
@@ -278,6 +284,8 @@ def _check_simplicity_gcd(n, p):
 
 
 def _check_galkin(n, p):
+    from .spectra import galkin_check
+
     result = galkin_check(make_context(n))
     detail = f"margin {result.margin:.9g}"
     if result.cross_residual is not None:
@@ -405,12 +413,14 @@ def _run_pool(tasks, workers: int) -> list[list[CheckResult]]:
     import pickle
     import select
 
-    if any(
-        check_id in ("diagonalization", "simultaneous_diag", "fpdim_consistency")
-        or (check_id == "galkin" and n <= GALKIN_CROSSCHECK_MAX_N)
-        for task in tasks
-        for check_id, n in task
-    ):
+    def uses_numpy(check_id, n):
+        if check_id == "galkin":
+            from .spectra import GALKIN_CROSSCHECK_MAX_N
+
+            return n <= GALKIN_CROSSCHECK_MAX_N
+        return check_id in ("diagonalization", "simultaneous_diag", "fpdim_consistency")
+
+    if any(uses_numpy(*cell) for task in tasks for cell in task):
         import numpy  # noqa: F401
 
     chunks = [None] * len(tasks)

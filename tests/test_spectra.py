@@ -417,18 +417,22 @@ def _batch_outcomes(polys):
 
 class TestDurandKernerBitIdentity:
     @pytest.mark.parametrize("n", range(2, 21))
-    def test_closed_form_factors(self, n):
+    def test_closed_form_factors(self, n, monkeypatch):
         """Each factor alone and in one batch per shape, as verify's
-        fpdim_consistency finds them, against the plain loop."""
+        fpdim_consistency finds them, against the plain loop; as the parts
+        run, and again with every part on the numpy path."""
         ctx = make_context(n)
         shapes = {}
         for p in range(1, 2 * n):
             for coeffs in _nonlinear_factors(closed_form_charpoly(ctx, p)):
-                want = _outcome(reference_durand_kerner, coeffs)
-                assert _outcome(batch_of_one, coeffs) == want
-                shapes.setdefault(_horner_runs(coeffs), []).append((coeffs, want))
-        for batch in shapes.values():
-            assert _batch_outcomes([c for c, _ in batch]) == [want for _, want in batch]
+                shapes.setdefault(_horner_runs(coeffs), []).append(
+                    (coeffs, _outcome(reference_durand_kerner, coeffs))
+                )
+        for points in (spectra.DK_NUMPY_POINTS, 1):
+            monkeypatch.setattr(spectra, "DK_NUMPY_POINTS", points)
+            for batch in shapes.values():
+                assert [_outcome(batch_of_one, c) for c, _ in batch] == [want for _, want in batch]
+                assert _batch_outcomes([c for c, _ in batch]) == [want for _, want in batch]
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_galkin_polynomials(self, n):
@@ -469,11 +473,38 @@ class TestDurandKernerBitIdentity:
             polys = [on_pattern() for _ in range(data.draw(st.integers(0, 4)))]
             for extra in (stalls, overflows):
                 polys.insert(data.draw(st.integers(0, len(polys))), extra)
-            got = _batch_outcomes(polys)
-            assert got == [_outcome(batch_of_one, c) for c in polys]
-            for coeffs, outcome in zip(polys, got):
+            alone = [_outcome(batch_of_one, c) for c in polys]
+            for coeffs, outcome in zip(polys, alone):
                 if coeffs is not overflows:  # the plain loop has no overflow test
                     assert outcome == _outcome(reference_durand_kerner, coeffs)
+            assert _batch_outcomes(polys) == alone
+            # Every part on the numpy path, the batch and each polynomial alone.
+            mp.setattr(spectra, "DK_NUMPY_POINTS", 1)
+            assert _batch_outcomes(polys) == alone
+            assert [_outcome(batch_of_one, c) for c in polys] == alone
+
+    @pytest.mark.parametrize("below", [1, 0], ids=["lists", "numpy"])
+    def test_parts_at_the_numpy_threshold(self, below, monkeypatch):
+        """A part of DK_NUMPY_POINTS - 1 points sweeps in lists and one of
+        DK_NUMPY_POINTS points in numpy arrays; both match the plain loop."""
+        points = spectra.DK_NUMPY_POINTS - below
+        deg = min(d for d in range(2, points + 1) if points % d == 0)
+        rng = np.random.default_rng(points)
+        polys = [
+            [complex(c) for c in rng.choice([-3, -2, -1, 1, 2, 3], deg)] + [1 + 0j]
+            for _ in range(points // deg)
+        ]
+        quotients = []
+
+        def counted(a, b):
+            quotients.append(len(a))
+            return real(a, b)
+
+        real = spectra._complex_quotient
+        monkeypatch.setattr(spectra, "_complex_quotient", counted)
+        got = _batch_outcomes(polys)
+        assert bool(quotients) == (not below) and max(quotients, default=points) == points
+        assert got == [_outcome(reference_durand_kerner, c) for c in polys]
 
     def test_nonconvergence_message_matches(self, monkeypatch):
         monkeypatch.setattr(spectra, "DK_MAX_ITER", 1)
@@ -618,7 +649,7 @@ def _random_complex(rng, size):
 
 
 class TestNumpyRoundingContract:
-    """The two numpy operations durand_kerner_batch relies on round like CPython.
+    """The numpy operations durand_kerner_batch relies on round like CPython.
 
     A numpy build or CPU that breaks either fails here by name, before the
     reference comparisons below show only that some root bits moved.
@@ -650,6 +681,80 @@ class TestNumpyRoundingContract:
         assert got.tobytes() == want.tobytes(), (
             "numpy's complex subtraction does not round like CPython's complex -"
         )
+
+
+    @staticmethod
+    def _python_quotients(a, b):
+        return np.array([x / y for x, y in zip(a.tolist(), b.tolist())])
+
+    def test_quotient_matches_python_division(self):
+        """_complex_quotient against CPython's complex / by bytes: random
+        operands over six hundred decades, and divisors with |re| = |im|, zero
+        parts of either sign, infinities, NaNs of either sign and subnormal
+        parts."""
+        rng = np.random.default_rng(27)
+        wide = 10.0 ** rng.uniform(-300, 300, size=(4, 20000))
+        a = rng.standard_normal(20000) * wide[0] + 1j * rng.standard_normal(20000) * wide[1]
+        b = rng.standard_normal(20000) * wide[2] + 1j * rng.standard_normal(20000) * wide[3]
+        inf, nan, tiny = math.inf, math.nan, 5e-324
+        parts = [0.0, -0.0, 1.0, -1.0, 2.0, 3e-310, tiny, -tiny, inf, -inf, nan, -nan]
+        divisors = [complex(x, y) for x in parts for y in parts if x or y or math.isnan(x + y)]
+        numerators = [
+            1 + 2j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-3, tiny), complex(1e300, -1e-300),
+            complex(inf, 1), complex(-nan, 2), complex(1, nan),
+        ]
+        special_a = np.array([x for x in numerators for _ in divisors])
+        special_b = np.array(divisors * len(numerators))
+        a, b = np.concatenate([a, special_a]), np.concatenate([b, special_b])
+        with np.errstate(all="ignore"):
+            got = spectra._complex_quotient(a, b)
+        assert got.tobytes() == self._python_quotients(a, b).tobytes(), (
+            "_complex_quotient does not divide like CPython's complex /"
+        )
+
+    def test_quotient_keeps_the_sign_of_a_zero_in_the_second_branch(self):
+        """(1+2j)/(1+2j) divides through by b.imag: a.imag * ratio - a.real is
+        +0.0, where the negated form -(a.real - a.imag * ratio) is -0.0."""
+        a = b = np.array([1 + 2j])
+        got = spectra._complex_quotient(a, b)
+        assert got.tobytes() == self._python_quotients(a, b).tobytes()
+        assert math.copysign(1, got[0].imag) == 1
+
+    def test_quotient_raises_on_a_zero_divisor(self):
+        a = np.array([1 + 1j, 2 + 0j, 3 + 0j])
+        b = np.array([1 + 0j, complex(-0.0, 0.0), complex("nan")])
+        with pytest.raises(ZeroDivisionError) as python:
+            (2 + 0j) / complex(-0.0, 0.0)
+        with pytest.raises(ZeroDivisionError) as got, np.errstate(all="ignore"):
+            spectra._complex_quotient(a, b)
+        assert str(got.value) == str(python.value)
+
+    def test_hypot_matches_python_abs(self):
+        """Python's abs of a complex is hypot of its parts, as np.hypot computes it."""
+        steps = _random_complex(np.random.default_rng(5), (4, 5000)).ravel()
+        inf, nan = math.inf, math.nan
+        steps = np.concatenate([steps, [complex(inf, nan), complex(nan, -inf), complex(nan, 1), 0j, 5e-324j]])
+        got = np.hypot(steps.real, steps.imag)
+        assert got.tobytes() == np.array([abs(z) for z in steps.tolist()]).tobytes(), (
+            "np.hypot does not round like the hypot behind Python's complex abs"
+        )
+
+    def test_largest_moduli_as_python_max_of_abs(self):
+        """Each row's max(map(abs, row)); a part that is not finite shows as a
+        top that is not finite, and a finite step whose modulus overflows
+        raises abs's own OverflowError."""
+        steps = _random_complex(np.random.default_rng(6), (3, 4))
+        steps[1, 2] = complex(math.nan, 0)
+        steps[2, 0] = complex(-math.inf, 1)
+        tops = spectra._largest_moduli(steps.ravel(), 4)
+        assert tops[0] == max(map(abs, steps[0].tolist()))
+        assert [math.isfinite(t) for t in tops] == [True, False, False]
+        steps[2, 3] = complex(1.5e308, 1.5e308)
+        with pytest.raises(OverflowError) as python:
+            abs(steps[2, 3].item())
+        with pytest.raises(OverflowError) as got, np.errstate(all="ignore"):
+            spectra._largest_moduli(steps.ravel(), 4)
+        assert str(got.value) == str(python.value)
 
 
 class TestDurandKernerBinomials:

@@ -684,7 +684,7 @@ def test_degree_one_krylov_basis(n):
 
 
 def test_simultaneous_diag_fails_on_a_nan_residual(monkeypatch):
-    monkeypatch.setattr(verifier, "operator_eigenvalue", lambda ctx, p, j: complex("nan"))
+    monkeypatch.setattr(spectra, "operator_eigenvalue", lambda ctx, p, j: complex("nan"))
     results = run_check_cell("simultaneous_diag", 3)
     assert [r.status for r in results] == ["fail"] * 5
     assert results[0].detail == "shared-eigenvector residual nan exceeds 1e-08"
@@ -693,8 +693,8 @@ def test_simultaneous_diag_fails_on_a_nan_residual(monkeypatch):
 def test_simultaneous_diag_sums_every_nonzero(monkeypatch):
     """A dense perturbation of A_p (2n nonzeros in every row) fails the check,
     with the residual of the dense product."""
-    real = verifier.operator_as_array
-    monkeypatch.setattr(verifier, "operator_as_array", lambda ctx, p: real(ctx, p) + 1e-3)
+    real = spectra.operator_as_array
+    monkeypatch.setattr(spectra, "operator_as_array", lambda ctx, p: real(ctx, p) + 1e-3)
     results = run_check_cell("simultaneous_diag", 3)
     assert [r.status for r in results] == ["fail"] * 5
     ctx = make_context(3)
