@@ -443,32 +443,40 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
                 steps = _complex_quotient(val, reduced[rows:])
                 pts = pts - steps
                 tops = _largest_moduli(steps, deg)
-            else:
-                steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
-                pts = list(map(sub, pts, steps))
-                sizes = list(map(abs, steps))
-                # max() drops a NaN unless it comes first, so the finite test precedes it.
-                tops = [
-                    max(mine) if all(map(isfinite, mine)) else nan
-                    for mine in (sizes[i : i + deg] for i in range(0, rows, deg))
-                ]
+                kept = []
+                for i, b in enumerate(live):
+                    if not isfinite(tops[i]):
+                        outcomes[b] = RootFindingError("root iteration overflowed: an update is not finite")
+                        continue
+                    delta[b] = tops[i]
+                    if delta[b] < tol[b]:
+                        outcomes[b] = pts[i * deg : (i + 1) * deg].tolist()
+                    else:
+                        kept.append(i)
+                if len(kept) < len(live):
+                    live = [live[i] for i in kept]
+                    pts = pts.reshape(-1, deg)[kept].ravel()
+                    if not live:
+                        break
+                continue
+            steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
+            pts = list(map(sub, pts, steps))
+            sizes = list(map(abs, steps))
             kept = []
             for i, b in enumerate(live):
-                if not isfinite(tops[i]):
+                mine = sizes[i * deg : (i + 1) * deg]
+                # max() drops a NaN unless it comes first, so this test precedes the convergence test.
+                if not all(map(isfinite, mine)):
                     outcomes[b] = RootFindingError("root iteration overflowed: an update is not finite")
                     continue
-                delta[b] = tops[i]
+                delta[b] = max(mine)
                 if delta[b] < tol[b]:
-                    roots = pts[i * deg : (i + 1) * deg]
-                    outcomes[b] = roots.tolist() if large else roots
+                    outcomes[b] = pts[i * deg : (i + 1) * deg]
                 else:
                     kept.append(i)
             if len(kept) < len(live):
                 live = [live[i] for i in kept]
-                if large:
-                    pts = pts.reshape(-1, deg)[kept].ravel()
-                else:
-                    pts = [z for i in kept for z in pts[i * deg : (i + 1) * deg]]
+                pts = [z for i in kept for z in pts[i * deg : (i + 1) * deg]]
                 if not live:
                     break
     for b in live:
