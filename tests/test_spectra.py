@@ -494,13 +494,12 @@ class TestDurandKernerBitIdentity:
             [complex(c) for c in rng.choice([-3, -2, -1, 1, 2, 3], deg)] + [1 + 0j]
             for _ in range(points // deg)
         ]
-        quotients = []
+        real, quotients = spectra._complex_quotient, []
 
         def counted(a, b):
             quotients.append(len(a))
             return real(a, b)
 
-        real = spectra._complex_quotient
         monkeypatch.setattr(spectra, "_complex_quotient", counted)
         got = _batch_outcomes(polys)
         assert bool(quotients) == (not below) and max(quotients, default=points) == points
@@ -651,7 +650,7 @@ def _random_complex(rng, size):
 class TestNumpyRoundingContract:
     """The numpy operations durand_kerner_batch relies on round like CPython.
 
-    A numpy build or CPU that breaks either fails here by name, before the
+    A numpy build or CPU that breaks any of them fails here by name, before the
     reference comparisons below show only that some root bits moved.
     """
 
@@ -681,7 +680,6 @@ class TestNumpyRoundingContract:
         assert got.tobytes() == want.tobytes(), (
             "numpy's complex subtraction does not round like CPython's complex -"
         )
-
 
     @staticmethod
     def _python_quotients(a, b):
@@ -743,12 +741,13 @@ class TestNumpyRoundingContract:
         """Each row's max(map(abs, row)); a part that is not finite shows as a
         top that is not finite, and a finite step whose modulus overflows
         raises abs's own OverflowError."""
-        steps = _random_complex(np.random.default_rng(6), (3, 4))
+        steps = _random_complex(np.random.default_rng(6), (2000, 4))
         steps[1, 2] = complex(math.nan, 0)
         steps[2, 0] = complex(-math.inf, 1)
         tops = spectra._largest_moduli(steps.ravel(), 4)
-        assert tops[0] == max(map(abs, steps[0].tolist()))
-        assert [math.isfinite(t) for t in tops] == [True, False, False]
+        want = [max(map(abs, row)) for row in steps[3:].tolist()]
+        assert np.array(tops[3:]).tobytes() == np.array(want).tobytes()
+        assert [math.isfinite(t) for t in tops[:3]] == [True, False, False]
         steps[2, 3] = complex(1.5e308, 1.5e308)
         with pytest.raises(OverflowError) as python:
             abs(steps[2, 3].item())
