@@ -19,7 +19,6 @@ _EXPORTS = {
         "charpoly_cofactor",
         "charpoly_faddeev",
         "closed_form_charpoly",
-        "nonzero_part_is_squarefree",
     ),
     "poly": ("Poly", "poly_gcd", "squarefree_decomposition"),
     "ring": (

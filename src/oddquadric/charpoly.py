@@ -15,7 +15,6 @@ with d = gcd(p, 2n-1).  All three paths produce monic polynomials of degree
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import repeat
 from math import comb
 
@@ -124,15 +123,12 @@ def charpoly_cofactor(m: Matrix) -> Poly:
     return Poly.from_ints(det((1 << n) - 1))
 
 
-# typed: True == 1 and hash(True) == hash(1), so an untyped cache would return
-# the p = 1 entry for p = True once it is warm, skipping check_index.
-@lru_cache(maxsize=None, typed=True)
 def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
     """The closed-form characteristic polynomial for degree p, fully expanded.
 
     Rejects p = 0 (the identity operator is outside the closed form).  The
     exponent 2p-(2n-1) in the upper range is positive and divisible by d, so
-    every coefficient is an integer.  Built once per (ctx, p).
+    every coefficient is an integer.
     """
     check_index(ctx, p)
     if p == 0:
@@ -156,21 +152,12 @@ def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
     return f
 
 
-def nonzero_part_is_squarefree(f: Poly) -> bool:
-    """Whether f has no repeated nonzero roots.
+def all_roots_simple(f: Poly) -> bool:
+    """Whether every root of f, 0 included, is simple: gcd(f, f') is a constant.
 
-    Strips the x^k factor carrying the root at 0, then tests the remainder g
-    for squarefreeness via gcd(g, g').  Together with a zero-root multiplicity
-    of at most 1 this says all roots of f are simple.
+    Over Q a repeated root is exactly a common root of f and f', so the one
+    test covers the root at 0 and the nonzero roots alike.
     """
     if f.is_zero:
-        raise ValueError("the zero polynomial has no squarefree part")
-    _, g = f.strip_zero_roots()
-    if g.degree == 0:
-        return True
-    return poly_gcd(g, g.derivative()).degree == 0
-
-
-def all_roots_simple(f: Poly) -> bool:
-    """Simplicity of the full root multiset: squarefree nonzero part and 0 at most once."""
-    return f.zero_root_multiplicity() <= 1 and nonzero_part_is_squarefree(f)
+        raise ValueError("the zero polynomial has no root multiplicities")
+    return poly_gcd(f, f.derivative()).degree == 0

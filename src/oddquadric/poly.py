@@ -148,15 +148,13 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly.from_ints(_derivative(self._num))
 
-    def zero_root_multiplicity(self) -> int:
-        """Multiplicity of the root 0 (index of the lowest nonzero coefficient)."""
+    def strip_zero_roots(self) -> tuple[int, "Poly"]:
+        """Split off the power-of-the-variable factor: (k, g) with self = x^k * g,
+        k the multiplicity of the root 0 (the index of the lowest nonzero
+        coefficient)."""
         if self.is_zero:
             raise ValueError("the zero polynomial has no root multiplicities")
-        return next(i for i, c in enumerate(self._num) if c)
-
-    def strip_zero_roots(self) -> tuple[int, "Poly"]:
-        """Split off the power-of-the-variable factor: (k, g) with self = x^k * g."""
-        k = self.zero_root_multiplicity()
+        k = next(i for i, c in enumerate(self._num) if c)
         return k, Poly.from_ints(self._num[k:])
 
 

@@ -506,7 +506,8 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
     Results cover every (check, n, p) combination the checks' own case maps
     admit in the range; they are sorted by (check_id, n, p) and the summary
     tallies pass/fail per check.  checks=None runs every check; an empty list
-    raises ValueError rather than pass vacuously.  The cells of one n form one
+    raises ValueError rather than pass vacuously, and so does a bare string,
+    which would otherwise be read letter by letter.  The cells of one n form one
     task, run in one of pool_workers(jobs, n values) processes, or in this
     process when that is one.  Output is deterministic regardless of jobs.
     """
@@ -514,6 +515,8 @@ def run_suite(n_min: int, n_max: int, checks=None, jobs: int = 1) -> Verificatio
         raise ValueError(f"need 2 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if checks is None:
         checks = CHECK_IDS
+    elif isinstance(checks, str):
+        raise ValueError(f"pass a collection of check ids, not the string {checks!r}")
     checks = sorted(set(checks))
     if not checks:
         raise ValueError("no check ids given; omit checks to run them all")

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coefficient_lists import mul
 from oddquadric import (
     Matrix,
     Poly,
@@ -23,7 +24,7 @@ from oddquadric import (
     charpoly_faddeev,
     closed_form_charpoly,
     make_context,
-    nonzero_part_is_squarefree,
+    squarefree_decomposition,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -115,8 +116,8 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_charpoly(make_context(2), 0)
 
-    def test_bool_rejected_after_a_warm_cache(self):
-        # True == 1 and hash(True) == hash(1): an untyped cache would hand back p = 1.
+    def test_bool_rejected_after_p_1(self):
+        # True == 1, yet the index check refuses a bool, on every call.
         ctx = make_context(2)
         closed_form_charpoly(ctx, 1)
         with pytest.raises(ValueError):
@@ -304,15 +305,30 @@ def test_invariants_raise_under_python_O():
 
 class TestSquarefree:
     def test_examples(self):
-        assert nonzero_part_is_squarefree(LAM4_MINUS_4LAM)
-        assert not nonzero_part_is_squarefree(closed_form_charpoly(make_context(5), 3))
-        assert not nonzero_part_is_squarefree(Poly([1, -2, 1]))  # (lam-1)^2
+        assert all_roots_simple(LAM4_MINUS_4LAM)
+        assert not all_roots_simple(closed_form_charpoly(make_context(5), 3))
+        assert not all_roots_simple(Poly([1, -2, 1]))  # (lam-1)^2
+        assert all_roots_simple(Poly([3]))
         with pytest.raises(ValueError):
-            nonzero_part_is_squarefree(Poly([0]))
+            all_roots_simple(Poly([0]))
 
     def test_pure_power_of_lambda(self):
-        assert nonzero_part_is_squarefree(Poly([0, 0, 1]))
         assert not all_roots_simple(Poly([0, 0, 1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(1, 2)),
+            max_size=4,
+        ),
+    )
+    def test_matches_yun_on_the_nonzero_part(self, k, factors):
+        # f = lam^k * prod h^e for monic h; the factors may vanish at 0 too.
+        f = Poly(mul([0] * k + [1], *(lower + [1] for lower, e in factors for _ in range(e))))
+        k, g = f.strip_zero_roots()
+        yun_simple = g.degree == 0 or all(i == 1 for _, i in squarefree_decomposition(g))
+        assert all_roots_simple(f) == (k <= 1 and yun_simple)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_simplicity_matches_gcd(self, n):

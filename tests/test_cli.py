@@ -503,7 +503,7 @@ class TestPublicSurface:
     def test_all_names_resolve_once(self, monkeypatch):
         assert len(set(oddquadric.__all__)) == len(oddquadric.__all__)
         table = {name: module for module, names in oddquadric._EXPORTS.items() for name in names}
-        assert sorted(oddquadric.__all__) == sorted(table) and len(table) == 38
+        assert sorted(oddquadric.__all__) == sorted(table) and len(table) == 37
         assert set(oddquadric.__all__) | {"__version__"} <= set(dir(oddquadric))
         for name, module in table.items():
             source = importlib.import_module(f"oddquadric.{module}")

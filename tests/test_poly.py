@@ -56,10 +56,10 @@ def test_derivative():
 
 
 def test_zero_root_multiplicity():
-    assert Poly([0, 0, 0, 1]).zero_root_multiplicity() == 3
-    assert Poly([2, 1]).zero_root_multiplicity() == 0
+    assert Poly([0, 0, 0, 1]).strip_zero_roots() == (3, Poly([1]))
+    assert Poly([2, 1]).strip_zero_roots() == (0, Poly([2, 1]))
     with pytest.raises(ValueError):
-        Poly([0]).zero_root_multiplicity()
+        Poly([0]).strip_zero_roots()
 
 
 def test_gcd_known_values():

@@ -98,6 +98,13 @@ def test_empty_check_list_rejected():
         run_suite(2, 3, checks=[])
 
 
+def test_bare_string_of_checks_rejected():
+    # a str is iterable, so it would be taken for the ids "g", "a", "l", ...
+    with pytest.raises(ValueError, match="collection of check ids"):
+        run_suite(2, 3, checks="galkin")
+    assert run_suite(2, 2, checks=("galkin",)).summary == {"galkin": {"pass": 1, "fail": 0}}
+
+
 def test_invalid_range_rejected():
     with pytest.raises(ValueError):
         run_suite(1, 3)
