@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 from math import isfinite, nan, ulp
-from operator import sub, truediv
+from operator import truediv
 from typing import TYPE_CHECKING, NamedTuple
 
 from .charpoly import charpoly_faddeev, closed_form_charpoly
@@ -35,20 +35,20 @@ COR32_TOL = 1e-9             # the (lam^(2n-1) - 2)/2 identity
 PIVOT_RATIO = 1e-8           # min/max pivot ratio certifying P invertible
 DK_TOL = 1e-12               # Durand-Kerner update threshold, or 4 ulp of the start radius if larger
 DK_MAX_ITER = 500
-# Largest sweep array of one durand_kerner_batch part.  On a 2-vCPU Xeon with
-# 4 MiB of L2 per core, the 992 nonlinear closed-form factors with n <= 32, in
-# one batch per (n, shape), took 3.05-3.12 s (medians of 6 alternating runs)
-# with 256 KiB to 1 MiB, 3.13 s with 4 and 16 MiB, and 3.49 s one at a time.
-# At 512 KiB a part holds 4 polynomials of degree 63 and 29 of degree 23.
+# Largest sweep array of one durand_kerner_batch part.  The parts bound memory,
+# not time: on a 2-vCPU Xeon, verify --n-max 32 --jobs 1 peaks at 46 MB with
+# them and at 61 MB without, and took 2.54-2.72 s with them and 2.58-2.83 s
+# without (six alternating in-process runs each).  At 512 KiB a part holds 4
+# polynomials of degree 63 and 29 of degree 23.
 DK_BATCH_BYTES = 1 << 19
-# Fewest points of a part whose sweeps run in numpy arrays (_complex_quotient,
-# _largest_moduli); a smaller part keeps its points in a list and divides in
-# Python.  Time of one batch on the numpy path over the list path, medians of 9
-# alternating runs on a 2-vCPU Xeon: 1.13 at 46 points, 1.02 at 62, 0.98 at 69,
-# 1.05 at 75, 0.95 at 78, 0.94 at 90, 0.89 at 92, 0.85 at 120 and 0.67 at 506
-# (degrees 15 to 39).  So root_sweep's single factors (at most 39 points) and
-# galkin's cross-check (at most 23) stay in lists, and fpdim_consistency's
-# largest part at each n goes to numpy from n = 6 on (110 points and more).
+# Fewest points of a part that divides with _complex_quotient and takes moduli
+# with _largest_moduli; a smaller part divides and takes abs in Python.  Time
+# of one batch of degree-23 factors this way over the Python way, on a 2-vCPU
+# Xeon (three runs): 1.14-1.22 at 46 points, 0.98-1.02 at 69, 0.92-0.94 at 92
+# and 0.71-0.74 at 506.  So root_sweep's single factors (at most 39 points)
+# and galkin's cross-check (at most 23) divide in Python, and
+# fpdim_consistency's largest part at each n goes to numpy from n = 6 on (110
+# points and more).
 DK_NUMPY_POINTS = 96
 GALKIN_CROSSCHECK_MAX_N = 12
 
@@ -306,17 +306,22 @@ def durand_kerner_batch(polys, runs) -> list:
     1+0j to one width.  The padding multiplies exactly, and the leading
     coefficient is the 1+0j padding's last column.  The differences x - y
     and the added coefficients are single IEEE subtractions and additions,
-    the same in both.  The rest of a sweep depends on the size of the part.
-    A part of fewer than DK_NUMPY_POINTS points keeps them in a list, and the
-    quotient val / den, abs, the point update and both tests run in Python.
-    A larger part keeps its points in one complex array: _complex_quotient
-    replays CPython's quotient step by step with real ufuncs,
-    _largest_moduli takes abs as np.hypot and the max per polynomial, and
-    the point update is one numpy subtraction.  Neither uses numpy's
-    elementwise complex `*`, `/` or abs: the first may use fused
-    multiply-adds, the second is a scaled quotient, and the third has its
-    own hypot, and each rounds differently.  TestNumpyRoundingContract in
-    tests/test_spectra.py pins each numpy assumption by name.
+    the same in both.  Every part keeps its points in one complex array, and
+    its sweep has one point update, pts - steps, two IEEE subtractions as in
+    CPython's complex `-`, and one test per polynomial, on the largest |step|:
+    not finite fails it, below its tolerance ends it with its points as
+    Python complex.  Every part gathers the x and y of each x - y into two
+    arrays made with its sweep array, so that no block of memory is taken
+    and given back every sweep.  Only the quotient and moduli depend on the
+    size of the part.  A part of fewer than DK_NUMPY_POINTS points divides
+    val / den and takes abs in Python.  A larger part does both in numpy:
+    _complex_quotient replays CPython's quotient step by step with real
+    ufuncs, and _largest_moduli takes abs as np.hypot and the max per
+    polynomial.  Neither uses numpy's elementwise complex `*`, `/` or abs:
+    the first may use fused multiply-adds, the second is a scaled quotient,
+    and the third has its own hypot, and each rounds differently.
+    TestNumpyRoundingContract in tests/test_spectra.py pins each numpy
+    assumption by name.
     """
     deg = len(polys[0]) - 1
     width = max(runs[0][0] + 1, deg)
@@ -409,9 +414,8 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
         radius = _initial_radius(coeffs)
         tol.append(max(DK_TOL, 4 * ulp(radius)))
         pts += [radius * cmath.exp(1j * (2 * cmath.pi * k / deg + 0.4)) for k in range(deg)]
+    pts = np.array(pts)
     large = len(pts) >= DK_NUMPY_POINTS
-    if large:
-        pts = np.array(pts)
 
     def times_power(val, x, k):
         """val * x**k for every point, as k products left to right along a row."""
@@ -425,58 +429,54 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
         for _ in range(DK_MAX_ITER):
             if len(pts) != rows:
                 # The live polynomials changed: their coefficients, once per
-                # point, and a sweep array of 1+0j, their leading coefficient.
+                # point, a sweep array of 1+0j, their leading coefficient, and
+                # x and y of every denominator factor x - y.  A new gather
+                # every sweep, or the buffers a ufunc takes when its operands
+                # are not all contiguous, may be a block that malloc maps and
+                # unmaps each time.
                 rows = len(pts)
                 given = np.repeat([polys[b] for b in live], deg, axis=0)
                 w = np.ones((2 * rows, width), complex)
-            x = pts if large else np.array(pts)
-            w[:rows, xcol:] = x[:, None]
-            np.subtract(x[:, None], x[others[:rows]], out=w[rows:, first:])
+                x, y = np.empty((2, rows, deg - 1), complex)
+            w[:rows, xcol:] = pts[:, None]
+            x[...] = pts[:, None]
+            # mode="raise" would take a buffer for out; rows is a multiple of
+            # deg, so others[:rows] never leaves pts and nothing is clipped.
+            np.take(pts, others[:rows], out=y, mode="clip")
+            np.subtract(x, y, out=y)
+            w[rows:, first:] = y
             reduced = np.multiply.reduce(w, axis=1)
             val = reduced[:rows]
             for i, (k, j) in enumerate(runs):
                 if i:
-                    val = times_power(val, x, k)
+                    val = times_power(val, pts, k)
                 if j is not None:
                     val = val + given[:, j]
             if large:
                 steps = _complex_quotient(val, reduced[rows:])
-                pts = pts - steps
                 tops = _largest_moduli(steps, deg)
-                kept = []
-                for i, b in enumerate(live):
-                    if not isfinite(tops[i]):
-                        outcomes[b] = RootFindingError("root iteration overflowed: an update is not finite")
-                        continue
-                    delta[b] = tops[i]
-                    if delta[b] < tol[b]:
-                        outcomes[b] = pts[i * deg : (i + 1) * deg].tolist()
-                    else:
-                        kept.append(i)
-                if len(kept) < len(live):
-                    live = [live[i] for i in kept]
-                    pts = pts.reshape(-1, deg)[kept].ravel()
-                    if not live:
-                        break
-                continue
-            steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
-            pts = list(map(sub, pts, steps))
-            sizes = list(map(abs, steps))
+            else:
+                steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
+                sizes = list(map(abs, steps))
+                # max() drops a NaN unless it comes first, so a step that is not finite is tested apart.
+                tops = [
+                    max(mine) if all(map(isfinite, mine)) else nan
+                    for mine in (sizes[i : i + deg] for i in range(0, rows, deg))
+                ]
+            pts = pts - steps
             kept = []
             for i, b in enumerate(live):
-                mine = sizes[i * deg : (i + 1) * deg]
-                # max() drops a NaN unless it comes first, so this test precedes the convergence test.
-                if not all(map(isfinite, mine)):
+                if not isfinite(tops[i]):
                     outcomes[b] = RootFindingError("root iteration overflowed: an update is not finite")
                     continue
-                delta[b] = max(mine)
+                delta[b] = tops[i]
                 if delta[b] < tol[b]:
-                    outcomes[b] = pts[i * deg : (i + 1) * deg]
+                    outcomes[b] = pts[i * deg : (i + 1) * deg].tolist()
                 else:
                     kept.append(i)
             if len(kept) < len(live):
                 live = [live[i] for i in kept]
-                pts = [z for i in kept for z in pts[i * deg : (i + 1) * deg]]
+                pts = pts.reshape(-1, deg)[kept].ravel()
                 if not live:
                     break
     for b in live:

@@ -2,6 +2,11 @@
 
 import cmath
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,8 +490,8 @@ class TestDurandKernerBitIdentity:
 
     @pytest.mark.parametrize("below", [1, 0], ids=["lists", "numpy"])
     def test_parts_at_the_numpy_threshold(self, below, monkeypatch):
-        """A part of DK_NUMPY_POINTS - 1 points sweeps in lists and one of
-        DK_NUMPY_POINTS points in numpy arrays; both match the plain loop."""
+        """A part of DK_NUMPY_POINTS - 1 points divides in Python and one of
+        DK_NUMPY_POINTS points with _complex_quotient; both match the plain loop."""
         points = spectra.DK_NUMPY_POINTS - below
         deg = min(d for d in range(2, points + 1) if points % d == 0)
         rng = np.random.default_rng(points)
@@ -564,6 +569,26 @@ def assert_kernel_precondition(calls):
             assert _horner_runs(coeffs) == runs
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Minor page faults of one _roots_batch over the 23 closed forms of n = 12,
+# after a first run, with M_MMAP_THRESHOLD (-3) set to 128 KiB: a set
+# threshold stops glibc from raising it when a mapped block is freed.
+FAULTS = """
+import ctypes, resource
+if ctypes.CDLL(None).mallopt(-3, 128 * 1024) != 1:
+    raise OSError("mallopt refused M_MMAP_THRESHOLD")
+from oddquadric import closed_form_charpoly, make_context
+from oddquadric.spectra import _roots_batch
+ctx = make_context(12)
+polys = [closed_form_charpoly(ctx, p) for p in range(1, ctx.dim + 1)]
+_roots_batch(polys)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_roots_batch(polys)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestRootsBatch:
     def test_a_mixed_batch_gives_each_polynomial_its_own_roots(self, monkeypatch, kernel_calls):
         """Zero roots, linear and repeated factors, two shapes of nonlinear
@@ -615,6 +640,38 @@ class TestRootsBatch:
             _roots_batch([Poly([-4, 0, 1]), Poly([1, 2])])
         with pytest.raises(ValueError, match="nonconstant"):
             _roots_batch([Poly([-4, 0, 1]), Poly([3])])
+
+    @pytest.mark.parametrize("points", [math.inf, 1], ids=["small", "large"])
+    def test_every_root_is_a_plain_complex(self, points, monkeypatch):
+        """Not a numpy scalar, which has the same .real.hex(): every part
+        small, then every part large."""
+        monkeypatch.setattr(spectra, "DK_NUMPY_POINTS", points)
+        ctx = make_context(6)
+        polys = [closed_form_charpoly(ctx, p) for p in range(1, ctx.dim + 1)]
+        found = _roots_batch(polys) + [all_roots(f) for f in polys]
+        assert all(type(r) is complex for roots in found for r, _ in roots)
+
+    # The count depends on when numpy's ufuncs take buffers and on how CPython
+    # and glibc allocate, so the bound holds only where it was measured.
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11) or np.__version__.split(".")[:2] != ["2", "4"],
+        reason="fault counts measured on CPython 3.11 with numpy 2.4 only",
+    )
+    def test_a_large_part_maps_no_array_per_sweep(self):
+        """With malloc's mmap threshold fixed at 128 KiB, a block that large
+        taken anew each sweep is mapped, faulted in and unmapped every time:
+        x^23 - c takes 101 sweeps at n = 12, where a gather of 506 x 22
+        complex values is 178 KB, and a ufunc over operands that are not all
+        contiguous takes buffers of 128 KiB each.  Both at once read about
+        6,300 faults, and neither about 230."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", FAULTS], capture_output=True, env=env, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 2000
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_located_radius_is_max_root_modulus_bit_for_bit(self, n):
@@ -679,6 +736,22 @@ class TestNumpyRoundingContract:
         want = np.array([[a - b for b in pts] for a in pts])
         assert got.tobytes() == want.tobytes(), (
             "numpy's complex subtraction does not round like CPython's complex -"
+        )
+
+    def test_array_minus_list_matches_python_differences(self):
+        """The point update: a complex array minus a list of Python complex,
+        with zero parts of either sign, infinities and NaNs of either sign."""
+        rng = np.random.default_rng(29)
+        inf, nan = math.inf, math.nan
+        parts = [0.0, -0.0, 1.5, -2.0, 5e-324, inf, -inf, nan, -nan]
+        special = [complex(x, y) for x in parts for y in parts]
+        x = np.concatenate([_random_complex(rng, (500,)), np.repeat(special, len(special))])
+        steps = _random_complex(rng, (500,)).tolist() + special * len(special)
+        with np.errstate(all="ignore"):
+            got = x - steps
+        want = np.array([a - b for a, b in zip(x.tolist(), steps)])
+        assert got.tobytes() == want.tobytes(), (
+            "a complex array minus a list of complex does not round like CPython's complex -"
         )
 
     @staticmethod
