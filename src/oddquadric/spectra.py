@@ -44,11 +44,11 @@ DK_BATCH_BYTES = 1 << 19
 # Fewest points of a part that divides with _complex_quotient and takes moduli
 # with _largest_moduli; a smaller part divides and takes abs in Python.  Time
 # of one batch of degree-23 factors this way over the Python way, on a 2-vCPU
-# Xeon (three runs): 1.14-1.22 at 46 points, 0.98-1.02 at 69, 0.92-0.94 at 92
-# and 0.71-0.74 at 506.  So root_sweep's single factors (at most 39 points)
-# and galkin's cross-check (at most 23) divide in Python, and
-# fpdim_consistency's largest part at each n goes to numpy from n = 6 on (110
-# points and more).
+# Xeon (three runs): 1.25-1.26 at 46 points, 1.07-1.09 at 69, 0.98-1.00 at
+# 92, 0.93-0.95 at 115 and 0.75-0.77 at 506.  So root_sweep's single factors
+# (at most 39 points) and galkin's cross-check (at most 23) divide in Python,
+# and fpdim_consistency's largest part at each n goes to numpy from n = 6 on
+# (110 points and more).
 DK_NUMPY_POINTS = 96
 GALKIN_CROSSCHECK_MAX_N = 12
 
@@ -310,10 +310,12 @@ def durand_kerner_batch(polys, runs) -> list:
     its sweep has one point update, pts - steps, two IEEE subtractions as in
     CPython's complex `-`, and one test per polynomial, on the largest |step|:
     not finite fails it, below its tolerance ends it with its points as
-    Python complex.  Every part gathers the x and y of each x - y into two
-    arrays made with its sweep array, so that no block of memory is taken
-    and given back every sweep.  Only the quotient and moduli depend on the
-    size of the part.  A part of fewer than DK_NUMPY_POINTS points divides
+    Python complex.  Everything a sweep writes to is made only when the
+    live polynomials change: the x and y of every x - y, which one take by a
+    fixed index fills, the reduce output, the coefficients the Horner runs
+    add and a small part's steps.  So no block of memory is taken and given
+    back every sweep.  Only the quotient and moduli depend on the size of
+    the part.  A part of fewer than DK_NUMPY_POINTS points divides
     val / den and takes abs in Python.  A larger part does both in numpy:
     _complex_quotient replays CPython's quotient step by step with real
     ufuncs, and _largest_moduli takes abs as np.hypot and the max per
@@ -355,9 +357,11 @@ def _complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     magnitude, b.real on a tie.  Each of its IEEE steps is replayed here with
     a real ufunc, in its operand order: the imaginary numerator of the second
     branch is a.imag * ratio - a.real, not the negated first-branch form,
-    which would turn a +0.0 into -0.0.  A b with a NaN part gives NaN + NaNj,
-    and a zero b raises the ZeroDivisionError that Python's division raises.
-    Call it under np.errstate(all="ignore").
+    which would turn a +0.0 into -0.0.  Python's division forms again each
+    quotient those steps leave NaN: so a NaN or infinite operand gets
+    CPython's own NaN bits, which the steps match only under some of numpy's
+    SIMD dispatch, and a zero b raises Python's own ZeroDivisionError.  Call
+    it under np.errstate(all="ignore").
     """
     import numpy as np
 
@@ -370,12 +374,8 @@ def _complex_quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(a.shape, complex)
     out.real = (u + v * ratio) / denom
     out.imag = np.where(first, v - t, t - v) / denom
-    # A zero or NaN divisor gives a NaN ratio, so only a NaN quotient needs a second look.
-    if np.isnan(out).any():
-        zero = np.flatnonzero(b == 0)
-        if len(zero):
-            a.item(zero[0]) / b.item(zero[0])  # raises Python's own error
-        out[np.isnan(b)] = complex(nan, nan)
+    for i in np.flatnonzero(np.isnan(out)):
+        out[i] = a.item(i) / b.item(i)
     return out
 
 
@@ -428,41 +428,58 @@ def _durand_kerner_part(polys, runs, width, others) -> list:
     with np.errstate(all="ignore"):
         for _ in range(DK_MAX_ITER):
             if len(pts) != rows:
-                # The live polynomials changed: their coefficients, once per
-                # point, a sweep array of 1+0j, their leading coefficient, and
-                # x and y of every denominator factor x - y.  A new gather
-                # every sweep, or the buffers a ufunc takes when its operands
-                # are not all contiguous, may be a block that malloc maps and
-                # unmaps each time.
+                # The live polynomials changed, so everything a sweep writes
+                # to is made anew: a sweep array of 1+0j with its Horner and
+                # denominator views, x and y of every denominator factor x - y
+                # with their indices into pts (the row's own point, then
+                # others[:rows]), the reduce output, each Horner run's added
+                # coefficient once per point, and a small part's steps.  A
+                # new array every sweep, or the buffers a ufunc takes when its
+                # operands are not all contiguous, may be a block that malloc
+                # maps and unmaps each time.
                 rows = len(pts)
-                given = np.repeat([polys[b] for b in live], deg, axis=0)
                 w = np.ones((2 * rows, width), complex)
-                x, y = np.empty((2, rows, deg - 1), complex)
-            w[:rows, xcol:] = pts[:, None]
-            x[...] = pts[:, None]
-            # mode="raise" would take a buffer for out; rows is a multiple of
-            # deg, so others[:rows] never leaves pts and nothing is clipped.
-            np.take(pts, others[:rows], out=y, mode="clip")
+                horner, dens = w[:rows, xcol:], w[rows:, first:]
+                index = np.empty((2, rows, deg - 1), np.intp)
+                index[0] = np.arange(rows)[:, None]
+                index[1] = others[:rows]
+                xy = np.empty(index.shape, complex)
+                x, y = xy
+                reduced = np.empty(2 * rows, complex)
+                added = [
+                    (k, None if j is None else np.repeat([polys[b][j] for b in live], deg))
+                    for k, j in runs
+                ]
+                steps = np.empty(rows, complex)
+            horner[...] = pts[:, None]
+            # The method: the np.take wrapper costs a call of its own.  rows
+            # is a multiple of deg, so no index leaves pts and "clip" clips
+            # nothing; "raise" would take a buffer for out.
+            pts.take(index, None, xy, "clip")
             np.subtract(x, y, out=y)
-            w[rows:, first:] = y
-            reduced = np.multiply.reduce(w, axis=1)
+            dens[...] = y
+            np.multiply.reduce(w, axis=1, out=reduced)
             val = reduced[:rows]
-            for i, (k, j) in enumerate(runs):
+            for i, (k, coeff) in enumerate(added):
                 if i:
                     val = times_power(val, pts, k)
-                if j is not None:
-                    val = val + given[:, j]
+                if coeff is not None:
+                    np.add(val, coeff, out=val)
             if large:
                 steps = _complex_quotient(val, reduced[rows:])
                 tops = _largest_moduli(steps, deg)
             else:
-                steps = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
-                sizes = list(map(abs, steps))
-                # max() drops a NaN unless it comes first, so a step that is not finite is tested apart.
-                tops = [
-                    max(mine) if all(map(isfinite, mine)) else nan
-                    for mine in (sizes[i : i + deg] for i in range(0, rows, deg))
-                ]
+                quotients = list(map(truediv, val.tolist(), reduced[rows:].tolist()))
+                steps[:] = quotients
+                sizes = list(map(abs, quotients))
+                if all(map(isfinite, sizes)):
+                    tops = [max(sizes[i : i + deg]) for i in range(0, rows, deg)]
+                else:
+                    # max() drops a NaN unless it comes first, so a step that is not finite is tested apart.
+                    tops = [
+                        max(mine) if all(map(isfinite, mine)) else nan
+                        for mine in (sizes[i : i + deg] for i in range(0, rows, deg))
+                    ]
             pts = pts - steps
             kept = []
             for i, b in enumerate(live):

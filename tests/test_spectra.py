@@ -425,7 +425,9 @@ class TestDurandKernerBitIdentity:
     def test_closed_form_factors(self, n, monkeypatch):
         """Each factor alone and in one batch per shape, as verify's
         fpdim_consistency finds them, against the plain loop; as the parts
-        run, and again with every part on the numpy path."""
+        run, with every part on the numpy path, and with every part on the
+        Python-quotient path, where a batch's live set shrinks as its
+        polynomials converge."""
         ctx = make_context(n)
         shapes = {}
         for p in range(1, 2 * n):
@@ -433,7 +435,7 @@ class TestDurandKernerBitIdentity:
                 shapes.setdefault(_horner_runs(coeffs), []).append(
                     (coeffs, _outcome(reference_durand_kerner, coeffs))
                 )
-        for points in (spectra.DK_NUMPY_POINTS, 1):
+        for points in (spectra.DK_NUMPY_POINTS, 1, math.inf):
             monkeypatch.setattr(spectra, "DK_NUMPY_POINTS", points)
             for batch in shapes.values():
                 assert [_outcome(batch_of_one, c) for c, _ in batch] == [want for _, want in batch]
@@ -739,20 +741,25 @@ class TestNumpyRoundingContract:
         )
 
     def test_array_minus_list_matches_python_differences(self):
-        """The point update: a complex array minus a list of Python complex,
-        with zero parts of either sign, infinities and NaNs of either sign."""
+        """The point update: a complex array minus the steps, as a list of
+        Python complex and as the array they are written into, with zero
+        parts of either sign, infinities and NaNs of either sign."""
         rng = np.random.default_rng(29)
         inf, nan = math.inf, math.nan
         parts = [0.0, -0.0, 1.5, -2.0, 5e-324, inf, -inf, nan, -nan]
         special = [complex(x, y) for x in parts for y in parts]
         x = np.concatenate([_random_complex(rng, (500,)), np.repeat(special, len(special))])
         steps = _random_complex(rng, (500,)).tolist() + special * len(special)
+        want = np.array([a - b for a, b in zip(x.tolist(), steps)]).tobytes()
+        buffer = np.empty(len(steps), complex)
+        buffer[:] = steps
         with np.errstate(all="ignore"):
-            got = x - steps
-        want = np.array([a - b for a, b in zip(x.tolist(), steps)])
-        assert got.tobytes() == want.tobytes(), (
-            "a complex array minus a list of complex does not round like CPython's complex -"
-        )
+            assert (x - steps).tobytes() == want, (
+                "a complex array minus a list of complex does not round like CPython's complex -"
+            )
+            assert (x - buffer).tobytes() == want, (
+                "a complex array minus the steps written into an array does not round like CPython's complex -"
+            )
 
     @staticmethod
     def _python_quotients(a, b):
