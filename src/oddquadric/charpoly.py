@@ -3,14 +3,9 @@
 Two independent exact algorithms compute det(lam*I - M): a trace recursion
 (Faddeev-LeVerrier) for any operator, and a cofactor expansion, the oracle,
 for operators of size N <= COFACTOR_DIM_LIMIT only.  The closed form they
-must both equal is instantiated directly:
-
-    lam * (lam^((2n-1)/d) - 2^(2p/d))^d              1 <= p < n
-    lam * (lam^((2n-1)/d) - 2^((2p-(2n-1))/d))^d     n <= p < 2n-1
-    (lam - 1)^(2n-1) * (lam + 1)                     p = 2n-1
-
-with d = gcd(p, 2n-1).  All three paths produce monic polynomials of degree
-2n; the closed forms are integral.
+must both equal is the paper's factorization, stated once as the factor table
+of closed_form_factors and expanded by closed_form_charpoly.  All three paths
+produce monic integer polynomials of degree 2n.
 """
 
 from __future__ import annotations
@@ -123,33 +118,47 @@ def charpoly_cofactor(m: Matrix) -> Poly:
     return Poly.from_ints(det((1 << n) - 1))
 
 
-def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
-    """The closed-form characteristic polynomial for degree p, fully expanded.
+def closed_form_factors(ctx: QuadricContext, p: int) -> dict[tuple[int, int], int]:
+    """The paper's characteristic polynomial for degree p, as one entry
+    (L, c): k per factor (lam^L - c)^k.
 
-    Rejects p = 0 (the identity operator is outside the closed form).  The
-    exponent 2p-(2n-1) in the upper range is positive and divisible by d, so
-    every coefficient is an integer.
+    With m = 2n-1 and d = gcd(p, m) it is lam * (lam^(m/d) - 2^e)^d, that is
+    {(1, 0): 1, (m/d, 2^e): d}, where e = 2p/d below the middle degree n and
+    e = (2p - m)/d from it on; the point class p = m has (lam - 1)^m (lam + 1),
+    that is {(1, 1): m, (1, -1): 1}.  Every exponent is an integer, since d
+    divides both p and m.  Rejects p = 0 (the identity operator is outside the
+    closed form), and raises ArithmeticError unless the degrees L*k sum to 2n.
     """
     check_index(ctx, p)
     if p == 0:
         raise ValueError("no closed form for p = 0; use charpoly_faddeev on the identity")
-    n = ctx.n
-    if p == 2 * n - 1:
-        # (lam - 1)^(2n-1) * (lam + 1) = (lam - 1)^(2n-1) + lam * (lam - 1)^(2n-1)
-        a = [comb(p, k) * (-1) ** (p - k) for k in range(p + 1)]
-        f = Poly.from_ints([x + y for x, y in zip(a + [0], [0] + a)])
+    n, m = ctx.n, ctx.dim
+    if p == m:
+        factors = {(1, 1): m, (1, -1): 1}
     else:
         d = ctx.d(p)
-        m = (2 * n - 1) // d
-        e = 2 * p // d if p < n else (2 * p - (2 * n - 1)) // d
-        # lam * (lam^m - 2^e)^d = sum over i of comb(d, i) * (-2^e)^(d-i) * lam^(m*i + 1)
-        num = [0] * (m * d + 2)
-        for i in range(d + 1):
-            num[m * i + 1] = comb(d, i) * (-(2**e)) ** (d - i)
-        f = Poly.from_ints(num)
-    if not (f.is_monic and f.degree == 2 * n):
-        raise ArithmeticError(f"closed form for n={n}, p={p} is not monic of degree {2 * n}")
-    return f
+        e = 2 * p // d if p < n else (2 * p - m) // d
+        factors = {(1, 0): 1, (m // d, 2**e): d}
+    if sum(length * k for (length, _), k in factors.items()) != ctx.basis_size:
+        raise ArithmeticError(f"closed-form factors for n={n}, p={p} are not of degree {ctx.basis_size}")
+    return factors
+
+
+def closed_form_charpoly(ctx: QuadricContext, p: int) -> Poly:
+    """The closed-form characteristic polynomial for degree p: the factors of
+    closed_form_factors multiplied out, so every coefficient is an integer."""
+    f = [1]
+    for (length, c), k in closed_form_factors(ctx, p).items():
+        # times (lam^L - c)^k = sum over i of comb(k, i) * (-c)^(k-i) * lam^(L*i)
+        g = [0] * (len(f) + length * k)
+        for i in range(k + 1):
+            b = comb(k, i) * (-c) ** (k - i)
+            for j, a in enumerate(f, length * i):
+                g[j] += a * b
+        f = g
+    if not (len(f) == ctx.basis_size + 1 and f[-1] == 1):
+        raise ArithmeticError(f"closed form for n={ctx.n}, p={p} is not monic of degree {ctx.basis_size}")
+    return Poly.from_ints(f)
 
 
 def all_roots_simple(f: Poly) -> bool:

@@ -21,9 +21,9 @@ from math import isfinite, nan, ulp
 from operator import truediv
 from typing import TYPE_CHECKING, NamedTuple
 
-from .charpoly import charpoly_faddeev, closed_form_charpoly
+from .charpoly import charpoly_faddeev, closed_form_charpoly, closed_form_factors
 from .poly import Poly, squarefree_decomposition
-from .ring import QuadricContext, build_a1, build_ap
+from .ring import QuadricContext, build_a1, build_ap, check_index
 
 if TYPE_CHECKING:  # numpy is imported where it is used: only the float checks need it
     import numpy as np
@@ -90,30 +90,29 @@ def tau1_eigenvalue(ctx: QuadricContext, j: int) -> complex:
 
 
 def _check_spectrum_degree(ctx: QuadricContext, p: int) -> None:
-    if not 1 <= p <= ctx.dim:
+    check_index(ctx, p)
+    if p < 1:
         raise ValueError(f"spectral data is defined for p in [1, {ctx.dim}], got {p}")
 
 
 def closed_eigenvalues(ctx: QuadricContext, p: int) -> list[EigenPair]:
     """Eigenvalues of the degree-p operator with multiplicities, in closed form.
 
-    For p below the middle: 0 plus the (2n-1)/d distinct p-th powers of the
-    degree-one eigenvalues, each with multiplicity d = gcd(p, 2n-1); from the
-    middle on the nonzero values are halved; the point class has eigenvalues
-    1 (multiplicity 2n-1) and -1.
+    The roots of closed_form_factors(ctx, p), factor by factor: c for a linear
+    factor (lam - c)^k, and fp_dim(ctx, p) times the L-th roots of unity for a
+    factor (lam^L - c)^k, each with multiplicity k.  So below the middle degree
+    there are 0 and the (2n-1)/d distinct p-th powers of the degree-one
+    eigenvalues, each with multiplicity d = gcd(p, 2n-1); from the middle on
+    the nonzero values are halved; the point class has eigenvalues 1
+    (multiplicity 2n-1) and -1.
     """
-    _check_spectrum_degree(ctx, p)
-    n, dim = ctx.n, ctx.dim
-    if p == dim:
-        return [EigenPair(1 + 0j, dim), EigenPair(-1 + 0j, 1)]
-    d = ctx.d(p)
-    m = dim // d
     r = fp_dim(ctx, p)
-    pairs = [EigenPair(0j, 1)]
-    for k in range(m):
-        pairs.append(EigenPair(r * cmath.exp(2j * cmath.pi * k / m), d))
-    if sum(ep.multiplicity for ep in pairs) != ctx.basis_size:
-        raise ArithmeticError(f"multiplicities for n={n}, p={p} do not sum to {ctx.basis_size}")
+    pairs = []
+    for (length, c), k in closed_form_factors(ctx, p).items():
+        if length == 1:
+            pairs.append(EigenPair(complex(c), k))
+        else:
+            pairs += [EigenPair(r * cmath.exp(2j * cmath.pi * j / length), k) for j in range(length)]
     return pairs
 
 

@@ -1,10 +1,12 @@
 """Batch certification of the ring and spectral invariants over (n, p) ranges.
 
 Every check computes its expected side independently of the code path under
-test: closed forms are literal transcriptions, computed operators go through
-the exact trace recursion, and numeric roots come from the simultaneous
-iteration.  Failures carry a serialized witness; runs never abort early and
-the assembled report is deterministic, including under parallel execution.
+test: the closed form is the paper's one factor table, expanded, and the
+simplicity prediction is the literal gcd criterion; computed operators go
+through the exact trace recursion, and numeric roots come from the
+simultaneous iteration.  Failures carry a serialized witness; runs never
+abort early and the assembled report is deterministic, including under
+parallel execution.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Characteristic polynomials: trace recursion, cofactor oracle, closed forms."""
 
+import cmath
 import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from coefficient_lists import mul
 from oddquadric import (
+    EigenPair,
     Matrix,
     Poly,
     all_roots_simple,
@@ -22,10 +24,12 @@ from oddquadric import (
     build_ap,
     charpoly_cofactor,
     charpoly_faddeev,
+    closed_eigenvalues,
     closed_form_charpoly,
     make_context,
     squarefree_decomposition,
 )
+from oddquadric.charpoly import closed_form_factors
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -130,6 +134,63 @@ class TestClosedForm:
             f = closed_form_charpoly(ctx, p)
             assert f.is_monic and f.degree == 2 * n
             assert all(c.denominator == 1 for c in f.coeffs)
+
+
+def reference_closed_form_charpoly(ctx, p):
+    """The paper's closed form with each case expanded on its own, apart from
+    closed_form_factors: the reference for the table and its expansion."""
+    n = ctx.n
+    if p == 2 * n - 1:
+        # (lam - 1)^(2n-1) * (lam + 1) = (lam - 1)^(2n-1) + lam * (lam - 1)^(2n-1)
+        a = [comb(p, k) * (-1) ** (p - k) for k in range(p + 1)]
+        return Poly([x + y for x, y in zip(a + [0], [0] + a)])
+    d = gcd(p, 2 * n - 1)
+    m = (2 * n - 1) // d
+    e = 2 * p // d if p < n else (2 * p - (2 * n - 1)) // d
+    # lam * (lam^m - 2^e)^d = sum over i of comb(d, i) * (-2^e)^(d-i) * lam^(m*i + 1)
+    num = [0] * (m * d + 2)
+    for i in range(d + 1):
+        num[m * i + 1] = comb(d, i) * (-(2**e)) ** (d - i)
+    return Poly(num)
+
+
+def reference_closed_eigenvalues(ctx, p):
+    """The paper's eigenvalues with each case listed on its own, and the
+    Frobenius-Perron dimension in its own float expression: the reference."""
+    n, dim = ctx.n, ctx.dim
+    if p == dim:
+        return [EigenPair(1 + 0j, dim), EigenPair(-1 + 0j, 1)]
+    d = gcd(p, dim)
+    m = dim // d
+    r = 2 ** (2 * p / dim) if p < n else 2 ** (2 * p / dim - 1)
+    return [EigenPair(0j, 1)] + [EigenPair(r * cmath.exp(2j * cmath.pi * k / m), d) for k in range(m)]
+
+
+def eigenpair_bits(pairs):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [(ep.value.real.hex(), ep.value.imag.hex(), ep.multiplicity) for ep in pairs]
+
+
+class TestClosedFormFactors:
+    @pytest.mark.parametrize("n", [*range(2, 65), 512])
+    def test_equals_the_reference(self, n):
+        ctx = make_context(n)
+        # at n = 512, d = gcd(p, 1023) is 1, 341 and 341, and p = 1023 is the point class
+        for p in (1, 341, 682, 1023) if n == 512 else range(1, 2 * n):
+            assert closed_form_charpoly(ctx, p) == reference_closed_form_charpoly(ctx, p), p
+            got = eigenpair_bits(closed_eigenvalues(ctx, p))
+            assert got == eigenpair_bits(reference_closed_eigenvalues(ctx, p)), p
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 48])
+    def test_table_contract(self, n):
+        ctx = make_context(n)
+        for p in range(1, 2 * n):
+            factors = closed_form_factors(ctx, p)
+            assert sum(length * k for (length, _), k in factors.items()) == 2 * n
+            assert next(iter(factors)) == ((1, 1) if p == 2 * n - 1 else (1, 0)), p
+        for p in (0, 2 * n):
+            with pytest.raises(ValueError):
+                closed_form_factors(ctx, p)
 
 
 class TestClosedFormAgreementSmoke:

@@ -67,6 +67,9 @@ GOLDEN = [
     ("spectrum -n 3 -p 4 --format json", 0, "ce56578c13c6ac0642d68bf7e4305c79123db3e0d56fa5319ecb82faa59eaea6"),
     ("spectrum -n 3 -p 4 --format csv", 0, "b5d8c60ef8e8099c461f0167d76f46d3bc8502983f8e990f063ec9d9dd7b0a27"),
     ("spectrum -n 500 -p 7 --format json", 0, "64a0e95d658b43a10d4f86ffbd5858e9c51d618dc51335c7224a8ef627fd674f"),
+    # d > 1: m = 15 and d = 3 below the middle; d = 5 from the middle on
+    ("spectrum -n 8 -p 3 --format json", 0, "2a8db9acc7cada1c56b5bde245cfafb503ae2452547b12fed5d68d9c325af88a"),
+    ("spectrum -n 8 -p 10 --format json", 0, "c0f153e7d076b6f199a7a0c69ee1ff81b457144b1f74c9dcbe9f9c36e2a74f09"),
     ("fpdim -n 2 -p 1", 0, "9dae37e0018579aaee10b7c409c4d774570a492c0aec5c526ed65fec197779f4"),
     ("fpdim -n 2 -p 1 --format json", 0, "f9616130b4962b9ab971958ec1c465bbed874230e485230b012307165692c69b"),
     ("fpdim -n 2 -p 1 --format csv", 0, "2316534019ba4bb99de52600fc35b3884d0038a82f98f00e7186f6439c58e4d9"),

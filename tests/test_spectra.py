@@ -88,6 +88,17 @@ class TestClosedEigenvalues:
             closed_eigenvalues(make_context(2), 0)
 
 
+@pytest.mark.parametrize("p", [True, 1.5, 2.0], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [fp_dim, closed_eigenvalues, lambda ctx, p: operator_eigenvalue(ctx, p, 1), spectrum_report],
+    ids=["fp_dim", "closed_eigenvalues", "operator_eigenvalue", "spectrum_report"],
+)
+def test_a_degree_that_is_not_an_int_is_refused(call, p):
+    with pytest.raises(ValueError):
+        call(make_context(3), p)
+
+
 class TestEigenvectors:
     def test_zero_eigenvector(self):
         assert eigenvector(make_context(2), "zero") == (-1 + 0j, 0j, 0j, 1 + 0j)

@@ -18,7 +18,7 @@ from oddquadric import (
     run_suite,
     squarefree_decomposition,
 )
-from oddquadric import ring, serialize, spectra, verifier
+from oddquadric import charpoly, ring, serialize, spectra, verifier
 from oddquadric.verifier import CHECKS, GOLDEN_A1_N2, pool_workers, run_check_cell
 
 EXPECTED_CASE_COUNTS_2_TO_4 = {
@@ -605,6 +605,24 @@ def test_simplicity_gcd_check_can_fail(monkeypatch):
             "gcd": g,
             "charpoly": serialize.poly_json(closed_form_charpoly(make_context(5), p)),
         }
+
+
+def test_charpoly_main_fails_on_a_wrong_factor_table(monkeypatch):
+    # The factor table is the one statement of the closed form, so only the
+    # computed side can catch a wrong one.  Negating every constant c keeps the
+    # expansion monic of degree 2n; at the point class it swaps lam - 1 and
+    # lam + 1.
+    right = charpoly.closed_form_factors
+    monkeypatch.setattr(
+        charpoly,
+        "closed_form_factors",
+        lambda ctx, p: {(length, -c): k for (length, c), k in right(ctx, p).items()},
+    )
+    results = run_check_cell("charpoly_main", 5)
+    assert [r.status for r in results] == ["fail"] * 9
+    for r in results:
+        assert r.detail == "computed characteristic polynomial deviates from the closed form"
+        assert r.witness["closed_form"] == serialize.poly_json(closed_form_charpoly(make_context(5), r.p))
 
 
 def test_galkin_check_can_fail(monkeypatch):
