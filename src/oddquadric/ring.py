@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd
-from operator import index
+from operator import index, itemgetter
 from typing import NamedTuple
 
 from .poly import as_int
@@ -176,11 +176,14 @@ class Matrix:
         return tuple(sum(v * w[j] for j, v in row.items()) for row in self._rows)
 
 
-def _row_selections(rows) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, tuple]]]:
+def _row_selections(rows) -> tuple[itemgetter, list[tuple[int, int]], list[tuple[int, tuple]]]:
     """The {column: value} rows of an integer matrix C in the form that
-    _product_rows reads: the column t that each row with a single pair (t, x)
-    selects (0 for any other row), the (row, x) of each single pair with
-    x != 1, and the (row, pairs) of each row with zero or several pairs."""
+    _product_rows reads: an itemgetter that gathers, from a sequence of N
+    items, item t for each row of C with a single pair (t, x) and item 0 for
+    any other row; the (row, x) of each single pair with x != 1; and the
+    (row, pairs) of each row with zero or several pairs.  Below N = 2 the
+    gather is the slice [:N], which selects the same items, since an
+    itemgetter returns a single key's item bare and takes no empty key list."""
     targets, scaled, merged = [], [], []
     for i, row in enumerate(rows):
         if len(row) == 1:
@@ -191,7 +194,8 @@ def _row_selections(rows) -> tuple[list[int], list[tuple[int, int]], list[tuple[
             t = 0
             merged.append((i, tuple(row.items())))
         targets.append(t)
-    return targets, scaled, merged
+    gather = itemgetter(*targets) if len(targets) > 1 else itemgetter(slice(len(targets)))
+    return gather, scaled, merged
 
 
 def _product_rows(a, b, scale) -> tuple[list, list[int]]:
@@ -205,11 +209,11 @@ def _product_rows(a, b, scale) -> tuple[list, list[int]]:
     be mutated; any other row is merged into a new dict under multiplier 1.
     A product costs one multiply per single pair with x != 1, plus the
     nonzeros of the other rows of C times the length of the rows of D they
-    select; the shared rows and their multipliers are gathered in bulk.
+    select, plus two C-level gathers: the shared rows and their multipliers.
     """
-    targets, scaled, merged = a
-    rows = list(map(b.__getitem__, targets))
-    out = list(map(scale.__getitem__, targets))
+    gather, scaled, merged = a
+    rows = list(gather(b))
+    out = list(gather(scale))
     for i, x in scaled:
         out[i] *= x
     for i, pairs in merged:

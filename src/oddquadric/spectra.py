@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .charpoly import charpoly_faddeev, closed_form_charpoly, closed_form_factors
 from .poly import Poly, squarefree_decomposition
-from .ring import QuadricContext, build_a1, build_ap, check_index
+from .ring import QuadricContext, build_a1, build_ap, check_index, make_context
 
 if TYPE_CHECKING:  # numpy is imported where it is used: only the float checks need it
     import numpy as np
@@ -81,9 +81,12 @@ def tau1_eigenvalue(ctx: QuadricContext, j: int) -> complex:
     """The j-th nonzero eigenvalue of the degree-one operator, j in [0, 2n-2].
 
     The 2n-1 distinct values 4^(1/(2n-1)) e^(2*pi*i*j/(2n-1)); together with 0
-    they exhaust the spectrum.
+    they exhaust the spectrum.  operator_eigenvalue and eigenvector take "zero"
+    themselves and check every other selector here: anything else raises ValueError.
     """
     m = ctx.dim
+    if not isinstance(j, int) or isinstance(j, bool):
+        raise ValueError(f"eigenvalue index must be an integer or 'zero', got {j!r}")
     if not 0 <= j <= m - 1:
         raise ValueError(f"eigenvalue index {j} outside [0, {m - 1}]")
     return 4 ** (1 / m) * cmath.exp(2j * cmath.pi * j / m)
@@ -617,8 +620,9 @@ def corollary_32_check(ctx: QuadricContext) -> bool:
 
 
 def galkin_margin(n: int) -> float:
-    """Closed-form margin (2n-1) * 4^(1/(2n-1)) - 2n of the anticanonical bound."""
-    m = 2 * n - 1
+    """Closed-form margin (2n-1) * 4^(1/(2n-1)) - 2n of the anticanonical bound;
+    an n that make_context refuses raises ValueError."""
+    m = make_context(n).dim
     return m * 4 ** (1 / m) - 2 * n
 
 

@@ -55,6 +55,11 @@ class TestFaddeev:
             Matrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(0), Fraction(2)]])
         assert charpoly_faddeev(Matrix([[3, 2], [0, 12]])) == Poly([36, -15, 1])
 
+    def test_one_by_one(self):
+        # the product kernel gathers a single row as a sequence, not bare
+        assert charpoly_faddeev(Matrix([[5]])) == Poly([-5, 1])
+        assert charpoly_faddeev(Matrix([[0]])) == Poly([0, 1])
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_monic_degree(self, n):
         ctx = make_context(n)

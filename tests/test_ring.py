@@ -1,5 +1,6 @@
 """Ring construction: contexts, the degree-one product rule, operators, star products."""
 
+import pickle
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -387,6 +388,40 @@ class TestRowType:
         assert_represents(reversed_fill(a), da)
         charpoly_faddeev(a)
         assert (snapshot(a), snapshot(b)) == before
+
+    @pytest.mark.parametrize(
+        "da, db",
+        [
+            ([], []),
+            ([[5]], [[-3]]),
+            ([[0]], [[7]]),
+            ([[0, 2], [1, 0]], [[5, 0], [3, 4]]),
+            ([[1, 2], [0, 3]], [[5, 0], [3, 4]]),
+        ],
+    )
+    def test_products_of_sizes_0_1_and_2(self, da, db):
+        # an itemgetter returns one key's item bare and takes no empty key
+        # list, so the smallest sizes are where a gather of rows can go wrong
+        n = len(da)
+        product = [[sum(da[i][t] * db[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        assert_represents(Matrix(da) * Matrix(db), product)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Matrix([]),
+            lambda: Matrix([[5]]),
+            lambda: Matrix([[0, 2], [1, 3]]),
+            lambda: build_ap(make_context(3), 2),
+        ],
+        ids=["size0", "size1", "size2", "build_ap_n3_p2"],
+    )
+    def test_a_matrix_pickles_after_its_rows_are_gathered(self, make):
+        m = make()
+        m._selections()
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m
+        assert copy * copy == m * m
 
     def test_non_integers_rejected(self):
         for entry in (Fraction(1, 2), 0.5):

@@ -99,6 +99,17 @@ def test_a_degree_that_is_not_an_int_is_refused(call, p):
         call(make_context(3), p)
 
 
+@pytest.mark.parametrize("j", [True, 1.5, 2.0, "one"], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [tau1_eigenvalue, eigenvector, lambda ctx, j: operator_eigenvalue(ctx, 2, j)],
+    ids=["tau1_eigenvalue", "eigenvector", "operator_eigenvalue"],
+)
+def test_an_eigenvector_selector_that_is_not_an_int_or_zero_is_refused(call, j):
+    with pytest.raises(ValueError):
+        call(make_context(3), j)
+
+
 class TestEigenvectors:
     def test_zero_eigenvector(self):
         assert eigenvector(make_context(2), "zero") == (-1 + 0j, 0j, 0j, 1 + 0j)
@@ -314,6 +325,13 @@ class TestGalkin:
     def test_frozen_margins(self):
         assert galkin_margin(2) == pytest.approx(0.7622031559045981, abs=1e-12)
         assert galkin_margin(3) == pytest.approx(0.5975395538644709, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 0, -2, 1.5, 2.0, True], ids=repr)
+    def test_an_n_that_make_context_refuses_is_refused(self, n):
+        with pytest.raises(ValueError):
+            make_context(n)
+        with pytest.raises(ValueError):
+            galkin_margin(n)
 
     def test_margins_decrease_and_stay_positive(self):
         margins = [galkin_margin(n) for n in range(2, 60)]
